@@ -17,13 +17,16 @@ Workloads (the ISSUEs' acceptance targets):
   scalar loop vs one ``portfolio_ttm`` pass. Target: >= 50x. The
   per-design *batched* loop is also timed (``per_design_batch_seconds``)
   for context, and the fused tensor is checked cell-for-cell against
-  that per-design ``batch_ttm`` oracle.
+  it. ``batch_ttm`` runs the same portfolio kernel one row at a time,
+  so that check covers the design-axis stacking and the per-design
+  adapter's reshape; it is not an independent implementation.
 * ``sustained`` -- a steady request stream (32 requests x 16 designs x
   512 samples, fresh supply draws per request): the per-design
   ``batch_ttm`` loop vs the fused ``portfolio_ttm`` stream reusing one
   compiled portfolio. Measures the per-call overhead the fused path
   amortizes at serving-style batch sizes. Target: >= 2x over the
-  *batched* per-design loop (not the scalar model).
+  *batched* per-design loop (not the scalar model), which is the same
+  kernel called once per design.
 * ``scenario_sweep`` -- the fused scenario cube: 50 graded stress
   scenarios x 32 designs x 2048 samples through one
   ``scenario_evaluate`` pass vs the looped per-scenario
@@ -39,7 +42,9 @@ Workloads (the ISSUEs' acceptance targets):
   not byte-identical to uncoalesced ones (must be exactly 0).
   Target: >= 1.5x.
 * ``accuracy``  -- max error of the batched results against the scalar
-  or per-design oracle over every workload (must be <= 1e-9).
+  model, the looped scenario oracle, or (``portfolio``, ``sustained``)
+  the same kernel called per design, over every workload (must be
+  <= 1e-9).
 
 Usage::
 
@@ -611,7 +616,9 @@ def bench_sustained_throughput(model: TTMModel) -> dict:
     each. The fused path pays one compiled-portfolio lookup and one
     broadcasted kernel per request; the per-design loop pays 16
     ``batch_ttm`` dispatches (invariant lookup, validation, result
-    assembly) per request. The speedup is therefore the engine's
+    assembly) per request. ``batch_ttm`` is the same portfolio kernel
+    run one design at a time, so the error column checks the stacking,
+    not an independent model. The speedup is therefore the engine's
     *sustained* per-call efficiency, not its asymptotic FLOP rate, and
     the target is deliberately modest.
     """

@@ -7,30 +7,32 @@ invariants on every scalar call. This package makes the hot paths cheap:
 
 * :mod:`repro.engine.invariants` -- per-(design, technology) quantities
   that do not vary across a sweep, computed once and LRU-cached;
-* :mod:`repro.engine.batch` -- vectorized NumPy kernels ``batch_ttm`` and
-  ``batch_cas`` plus the ``*_over_capacity`` sweep conveniences;
+* :mod:`repro.engine.batch` -- per-design ``batch_ttm`` / ``batch_cas`` /
+  ``batch_cost`` over arbitrary broadcast grids plus the
+  ``*_over_capacity`` sweep conveniences; thin shape adapters over the
+  one-design portfolio kernel, with no kernel of their own;
 * :mod:`repro.engine.batch_split` -- the Sec. 7 multi-process split
   engine: the full (pair x split-grid) tensor, coarse -> fine grid
   refinement, and sampled-supply evaluation of a fixed production split;
-* :mod:`repro.engine.portfolio` -- the design-axis stack: one compiled
+* :mod:`repro.engine.portfolio` -- the per-design kernel: one compiled
   structure-of-arrays portfolio evaluated over ``(designs x samples)``
   in a single broadcasted pass with common random numbers;
 * :mod:`repro.engine.sobol_adapter` -- one-shot Saltelli-matrix
   objectives for ``sobol_indices(..., vectorized=True)``;
 * :mod:`repro.engine.parallel` -- ``parallel_map`` with serial / thread /
   process executors and a safe serial fallback;
-* :mod:`repro.engine.compiled` -- the optional ``engine="compiled"``
-  backend: single-pass fused kernels (Numba-jitted when the optional
-  dependency is present) behind a registry (``get_backend`` /
-  ``set_backend`` / ``REPRO_ENGINE_BACKEND``), bit-for-bit equal to the
-  NumPy path in float64;
+* :mod:`repro.engine.compiled` -- the optional compiled backend:
+  single-pass fused portfolio and scenario-cube kernels (Numba-jitted
+  when the optional dependency is present) behind a registry
+  (``get_backend`` / ``set_backend`` / ``REPRO_ENGINE_BACKEND``),
+  bit-for-bit equal to the NumPy path in float64;
 * :mod:`repro.engine.shm` -- zero-copy shared-memory publication of
   compiled invariants to process-pool workers.
 
-Batched results match the scalar model to floating-point round-off; the
-equivalence suite (``tests/engine``) pins them to <= 1e-9 relative error
-and ``scripts/bench_engine.py`` tracks the speedups in
-``BENCH_engine.json``.
+Batched results match the scalar model (the only oracle) to
+floating-point round-off; the equivalence suite (``tests/engine``) pins
+them to <= 1e-9 relative error and ``scripts/bench_engine.py`` tracks
+the speedups in ``BENCH_engine.json``.
 """
 
 from .batch import (

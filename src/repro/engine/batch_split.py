@@ -45,14 +45,9 @@ from ..errors import InvalidParameterError
 from ..multiprocess.split import DesignFactory, ProductionSplit, SplitEvaluation
 from ..obs.instrument import observed_kernel
 from ..ttm.model import TTMModel
-from .batch import (
-    ArrayLike,
-    CapacityLike,
-    _as_positive_array,
-    batch_cost,
-    batch_ttm,
-)
+from .batch import ArrayLike, CapacityLike, batch_cost, batch_ttm
 from .invariants import DesignInvariants
+from .portfolio import _as_positive_array
 
 #: Default split grid: 1% .. 100% of chips on the primary node. Kept in
 #: sync with ``repro.multiprocess.optimizer.DEFAULT_SPLIT_GRID`` (which

@@ -1,9 +1,9 @@
 """Compiled kernel backend: registry, Numba detection, float32 mode.
 
-The NumPy kernels in :mod:`repro.engine.batch` / ``portfolio`` build a
-handful of full-size temporaries per evaluation (queue drain, production,
-node totals, perturbed-rate copies). This package fuses each hot kernel
-into a single pass over the sample axis — written as plain Python loops
+The NumPy kernels in :mod:`repro.engine.portfolio` / ``scenario`` build
+a handful of full-size temporaries per evaluation (queue drain,
+production, node totals, perturbed-rate copies). This package fuses each
+hot kernel into a single pass over the sample axis — written as plain Python loops
 (:mod:`repro.engine.compiled.kernels`) that Numba jit-compiles when it
 is installed (``pip install repro[compiled]``) and that run as ordinary
 Python otherwise, so the backend is exercised by the test suite on every
@@ -15,7 +15,8 @@ The process-wide backend is a tiny registry:
 
 * :func:`get_backend` / :func:`set_backend` — read/switch the active
   backend (``"numpy"`` is the default and the equivalence oracle;
-  ``"compiled"`` routes ``batch_*`` / ``portfolio_*`` through the fused
+  ``"compiled"`` routes ``portfolio_*`` — and therefore the per-design
+  ``batch_*`` adapters — and the scenario cube through the fused
   kernels);
 * :func:`use_backend` — a context manager for scoped switches;
 * ``REPRO_ENGINE_BACKEND`` — environment override applied at import
@@ -199,7 +200,7 @@ def _apply_environment() -> None:
 
 
 # Kernel metrics carry a backend label from now on; registering the
-# provider here (this module is imported by repro.engine.batch) keeps
+# provider here (this module is imported by repro.engine.portfolio) keeps
 # the hot observed_kernel wrapper free of any engine import.
 set_backend_label_provider(backend_label)
 _apply_environment()

@@ -1,10 +1,12 @@
 """Adapters between the engine's public kernels and the fused loops.
 
 Each adapter takes the same pre-resolved inputs the NumPy expressions
-consume (invariants, validated quantities, ``_SupplyArrays`` /
-``_PortfolioSupply`` tensors), materializes them into dense C-order
-arrays, invokes the fused kernel from :mod:`.kernels`, and reassembles
-the public result dataclass. The split of work is deliberate:
+consume (portfolio invariants, validated quantities, ``_PortfolioSupply``
+tensors), materializes them into dense C-order arrays, invokes the fused
+kernel from :mod:`.kernels`, and reassembles the public result
+dataclass. The per-design ``batch_*`` functions reach these adapters
+through ``portfolio_*``, so they need none of their own. The split of
+work is deliberate:
 
 * everything *numerically delicate* stays NumPy-side — yield powers,
   ``np.sum`` reductions (pairwise), the invariant helpers — so the
@@ -12,11 +14,7 @@ the public result dataclass. The split of work is deliberate:
 * everything *bandwidth-bound* (the per-sample fused chain) runs in the
   kernel.
 
-Batch adapters flatten the full broadcast shape to one sample axis and
-reshape outputs back. ``per_node_ready_weeks`` is returned at the full
-broadcast shape (the NumPy path keeps each node's pre-``testing``
-broadcast shape; values are identical under broadcasting). Portfolio
-adapters keep the native ``(designs, nodes, samples)`` tensors and use
+Adapters keep the native ``(designs, nodes, samples)`` tensors and use
 stride flags instead of materializing broadcasts.
 
 float32 mode casts the TTM/cost kernel inputs (and therefore outputs)
@@ -28,17 +26,8 @@ rounding, not signal.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..batch import (
-    BatchCASResult,
-    BatchCostResult,
-    BatchTTMResult,
-    _SupplyArrays,
-)
-from ..invariants import DesignInvariants
 from ..portfolio import (
     PortfolioCASResult,
     PortfolioCostResult,
@@ -48,8 +37,6 @@ from ..portfolio import (
     _portfolio_quantities,
 )
 from ...cost.model import CostModel
-from ...cost.nre import design_nre
-from ...design.chip import ChipDesign
 from ...errors import InvalidParameterError
 from ...ttm.model import TTMModel
 from . import get_backend
@@ -59,274 +46,6 @@ from .kernels import get_kernel
 def _active_dtype() -> np.dtype:
     return np.dtype(
         np.float32 if get_backend().dtype == "float32" else np.float64
-    )
-
-
-def _flat_size(shape: tuple) -> int:
-    size = 1
-    for extent in shape:
-        size *= int(extent)
-    return size
-
-
-def _dense_rows(values, shape: tuple, dtype: np.dtype) -> np.ndarray:
-    """Stack broadcastable per-node values into a dense (P, S) matrix."""
-    values = tuple(values)
-    size = _flat_size(shape)
-    out = np.empty((len(values), size), dtype=dtype)
-    for i, value in enumerate(values):
-        out[i, :] = np.broadcast_to(
-            np.asarray(value, dtype=float), shape
-        ).reshape(-1)
-    return out
-
-
-def _dense_vector(value, shape: tuple, dtype: np.dtype) -> np.ndarray:
-    """Broadcast one value to the full shape, flattened C-order."""
-    size = _flat_size(shape)
-    out = np.empty(size, dtype=dtype)
-    out[:] = np.broadcast_to(np.asarray(value, dtype=float), shape).reshape(-1)
-    return out
-
-
-def _batch_shape(quantities: np.ndarray, supply: _SupplyArrays) -> tuple:
-    """The full broadcast shape every batch result field lives on."""
-    shapes = [quantities.shape]
-    shapes.extend(np.shape(value) for value in supply.rates)
-    shapes.extend(np.shape(value) for value in supply.backlog)
-    shapes.extend(np.shape(value) for value in supply.wafers_per_chip)
-    shapes.append(np.shape(supply.testing_weeks_per_chip))
-    return np.broadcast_shapes(*shapes)
-
-
-def _batch_tensors(
-    quantities: np.ndarray,
-    supply: _SupplyArrays,
-    invariants: DesignInvariants,
-    dtype: np.dtype,
-):
-    shape = _batch_shape(quantities, supply)
-    rates = _dense_rows(supply.rates, shape, dtype)
-    backlog = _dense_rows(supply.backlog, shape, dtype)
-    wafers = _dense_rows(supply.wafers_per_chip, shape, dtype)
-    testing = _dense_vector(supply.testing_weeks_per_chip, shape, dtype)
-    flat_quantities = _dense_vector(quantities, shape, dtype)
-    tapeout = np.ascontiguousarray(invariants.tapeout_weeks, dtype=dtype)
-    fab_latency = np.ascontiguousarray(
-        invariants.fab_latency_weeks, dtype=dtype
-    )
-    return (
-        shape,
-        rates,
-        backlog,
-        wafers,
-        testing,
-        flat_quantities,
-        tapeout,
-        fab_latency,
-    )
-
-
-def ttm_from_supply(
-    model: TTMModel,
-    design: ChipDesign,
-    invariants: DesignInvariants,
-    quantities: np.ndarray,
-    supply: _SupplyArrays,
-) -> BatchTTMResult:
-    """Compiled-backend tail of :func:`repro.engine.batch.batch_ttm`."""
-    dtype = _active_dtype()
-    (
-        shape,
-        rates,
-        backlog,
-        wafers,
-        testing,
-        flat_quantities,
-        tapeout,
-        fab_latency,
-    ) = _batch_tensors(quantities, supply, invariants, dtype)
-    pipelined = model.schedule == "pipelined"
-    if pipelined:
-        tapeout_scalar = float(np.max(invariants.tapeout_weeks))
-    else:
-        tapeout_scalar = float(invariants.sequential_tapeout_weeks)
-
-    n_processes = len(invariants.processes)
-    size = flat_quantities.shape[0]
-    ready = np.empty((n_processes, size), dtype=dtype)
-    fabrication = np.empty(size, dtype=dtype)
-    packaging = np.empty(size, dtype=dtype)
-    total = np.empty(size, dtype=dtype)
-    get_kernel("ttm")(
-        rates,
-        backlog,
-        wafers,
-        flat_quantities,
-        testing,
-        tapeout,
-        fab_latency,
-        pipelined,
-        tapeout_scalar,
-        float(model.tap_latency_weeks),
-        float(invariants.assembly_weeks_per_chip),
-        float(invariants.design_weeks),
-        ready,
-        fabrication,
-        packaging,
-        total,
-    )
-    total_wafers = quantities * sum(supply.wafers_per_chip)
-    return BatchTTMResult(
-        design=design.name,
-        schedule=model.schedule,
-        design_weeks=invariants.design_weeks,
-        tapeout_weeks=np.broadcast_to(
-            np.asarray(tapeout_scalar, dtype=dtype), shape
-        ),
-        fabrication_weeks=fabrication.reshape(shape),
-        packaging_weeks=packaging.reshape(shape),
-        total_weeks=total.reshape(shape),
-        total_wafers=np.broadcast_to(
-            np.asarray(total_wafers, dtype=dtype), shape
-        ),
-        per_node_ready_weeks={
-            process: ready[i].reshape(shape)
-            for i, process in enumerate(invariants.processes)
-        },
-    )
-
-
-def cas_from_supply(
-    model: TTMModel,
-    design: ChipDesign,
-    invariants: DesignInvariants,
-    quantities: np.ndarray,
-    supply: _SupplyArrays,
-    relative_step: float,
-) -> BatchCASResult:
-    """Compiled-backend tail of :func:`repro.engine.batch.batch_cas`.
-
-    Always runs float64 internally (see the module docstring).
-    """
-    dtype = np.dtype(np.float64)
-    (
-        shape,
-        rates,
-        backlog,
-        wafers,
-        testing,
-        flat_quantities,
-        tapeout,
-        fab_latency,
-    ) = _batch_tensors(quantities, supply, invariants, dtype)
-    pipelined = model.schedule == "pipelined"
-    if pipelined:
-        tapeout_scalar = float(np.max(invariants.tapeout_weeks))
-    else:
-        tapeout_scalar = float(invariants.sequential_tapeout_weeks)
-
-    n_processes = len(invariants.processes)
-    size = flat_quantities.shape[0]
-    sensitivity = np.empty((n_processes, size), dtype=dtype)
-    total = np.empty(size, dtype=dtype)
-    get_kernel("cas")(
-        rates,
-        backlog,
-        wafers,
-        flat_quantities,
-        testing,
-        tapeout,
-        fab_latency,
-        np.ascontiguousarray(invariants.max_rate, dtype=dtype),
-        pipelined,
-        tapeout_scalar,
-        float(model.tap_latency_weeks),
-        float(invariants.assembly_weeks_per_chip),
-        float(invariants.design_weeks),
-        float(relative_step),
-        sensitivity,
-        total,
-    )
-    if not np.all(total > 0.0):
-        raise InvalidParameterError(
-            f"design {design.name!r} has zero TTM sensitivity on all nodes; "
-            "CAS is unbounded (check the production volume is non-trivial)"
-        )
-    return BatchCASResult(
-        design=design.name,
-        cas=(1.0 / total).reshape(shape),
-        sensitivity={
-            process: sensitivity[i].reshape(shape)
-            for i, process in enumerate(invariants.processes)
-        },
-    )
-
-
-def cost_from_parts(
-    cost_model: CostModel,
-    design: ChipDesign,
-    invariants: DesignInvariants,
-    quantities: np.ndarray,
-    scale: np.ndarray,
-) -> BatchCostResult:
-    """Compiled-backend tail of :func:`repro.engine.batch.batch_cost`."""
-    dtype = _active_dtype()
-    wafers_per_chip = invariants.wafers_per_chip_at(scale)
-    nre = design_nre(
-        design, cost_model.technology, cost_model.engineer_week_cost_usd
-    )
-    shape = np.broadcast_shapes(quantities.shape, scale.shape)
-    size = _flat_size(shape)
-    flat_quantities = _dense_vector(quantities, shape, dtype)
-    wafers = _dense_rows(wafers_per_chip, shape, dtype)
-    node_cost = np.asarray(
-        [
-            cost_model.technology[process].wafer_cost_usd
-            for process in invariants.processes
-        ],
-        dtype=dtype,
-    )
-    profiles = invariants.die_profiles
-    yields = _dense_rows(
-        (profile.yield_at(scale, invariants.alpha) for profile in profiles),
-        shape,
-        dtype,
-    )
-    counts = np.asarray([profile.count for profile in profiles], dtype=dtype)
-    ntts = np.asarray([profile.ntt for profile in profiles], dtype=dtype)
-    areas = np.asarray(
-        [profile.area_mm2 for profile in profiles], dtype=dtype
-    )
-
-    wafer_usd = np.empty(size, dtype=dtype)
-    testing_usd = np.empty(size, dtype=dtype)
-    packaging_usd = np.empty(size, dtype=dtype)
-    get_kernel("cost")(
-        flat_quantities,
-        wafers,
-        node_cost,
-        yields,
-        counts,
-        ntts,
-        areas,
-        float(cost_model.package_base_usd),
-        float(cost_model.die_handling_usd),
-        float(cost_model.package_area_usd_per_mm2),
-        float(cost_model.test_usd_per_transistor),
-        wafer_usd,
-        testing_usd,
-        packaging_usd,
-    )
-    return BatchCostResult(
-        design=design.name,
-        engineering_usd=nre.engineering_usd,
-        fixed_usd=nre.fixed_usd,
-        mask_usd=nre.mask_usd,
-        wafer_usd=wafer_usd.reshape(shape),
-        testing_usd=testing_usd.reshape(shape),
-        packaging_usd=packaging_usd.reshape(shape),
-        n_chips=np.broadcast_to(quantities, shape),
     )
 
 
@@ -811,11 +530,8 @@ def scenario_eval_from_parts(
 
 
 __all__ = [
-    "cas_from_supply",
-    "cost_from_parts",
     "portfolio_cas_from_supply",
     "portfolio_cost_from_parts",
     "portfolio_ttm_from_supply",
     "scenario_eval_from_parts",
-    "ttm_from_supply",
 ]

@@ -1,8 +1,11 @@
 """Single-pass fused loop kernels for the compiled backend.
 
-Each kernel here replaces a chain of NumPy array expressions with one
-pass over the sample axis, writing into caller-allocated output arrays
-and allocating nothing itself (Numba ``nopython`` friendly: inputs are
+Only the tiers that own arithmetic have kernels here: the portfolio
+TTM, CAS and cost-accumulation kernels (the per-design ``batch_*``
+adapters reach them through ``portfolio_*``) and the fused scenario
+cube. Each replaces a chain of NumPy array expressions with one pass
+over the sample axis, writing into caller-allocated output arrays and
+allocating nothing itself (Numba ``nopython`` friendly: inputs are
 plain ndarrays, ints, floats and bools only). The *per-element
 operation order replicates the NumPy expressions exactly* — same
 association, same evaluation order, the running maxima visiting
@@ -10,7 +13,7 @@ elements in index order exactly as ``np.max`` does — which is what
 makes float64 results bit-for-bit identical to the NumPy backend (the
 equivalence suite pins this). When editing a kernel, keep every
 parenthesisation in sync with the corresponding expression in
-:mod:`repro.engine.batch` / :mod:`repro.engine.portfolio`; a merely
+:mod:`repro.engine.portfolio` / :mod:`repro.engine.scenario`; a merely
 algebraically-equal rewrite will break the bit-equality contract.
 
 Anything numerically delicate stays on the NumPy side of the adapter
@@ -19,7 +22,7 @@ NumPy and Numba), ``np.sum`` reductions (pairwise, not sequential),
 and the invariant helpers. The kernels only see pre-resolved dense
 tensors.
 
-Portfolio kernels take integer *sample-stride flags* (``0`` when that
+Kernels take integer *sample-stride flags* (``0`` when that
 input's sample axis has length 1, else ``1``) so broadcast inputs are
 indexed without materializing the broadcast: element ``s`` of a
 length-1 axis is read as ``a[..., s * flag]``.
@@ -32,191 +35,12 @@ Without Numba the same Python functions run as-is.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Callable, Dict
 
 import numpy as np
 
 from ..invariants import cached_invariants
 from . import _import_numba
-
-
-def ttm_core(
-    rates,
-    backlog,
-    wafers,
-    quantities,
-    testing,
-    tapeout,
-    fab_latency,
-    pipelined,
-    tapeout_scalar,
-    tap_latency,
-    assembly,
-    design_weeks,
-    ready_out,
-    fabrication_out,
-    packaging_out,
-    total_out,
-):
-    """Fused batch TTM: per-node ready + fab/packaging/total weeks.
-
-    Shapes: ``rates``/``backlog``/``wafers``/``ready_out`` are (P, S);
-    ``quantities``/``testing`` and the remaining outputs are (S,);
-    ``tapeout``/``fab_latency`` are (P,).
-    """
-    n_processes = rates.shape[0]
-    n_samples = rates.shape[1]
-    for s in range(n_samples):
-        quantity = quantities[s]
-        best = 0.0
-        for i in range(n_processes):
-            rate = rates[i, s]
-            node_total = (
-                backlog[i, s] / rate + (quantity * wafers[i, s]) / rate
-            ) + fab_latency[i]
-            ready = tapeout[i] + node_total
-            ready_out[i, s] = ready
-            if pipelined:
-                value = ready
-            else:
-                value = node_total
-            if i == 0 or value > best:
-                best = value
-        if pipelined:
-            fabrication = best - tapeout_scalar
-        else:
-            fabrication = best
-        packaging = (tap_latency + quantity * testing[s]) + quantity * assembly
-        fabrication_out[s] = fabrication
-        packaging_out[s] = packaging
-        total_out[s] = (
-            (design_weeks + tapeout_scalar) + fabrication
-        ) + packaging
-
-
-def cas_core(
-    rates,
-    backlog,
-    wafers,
-    quantities,
-    testing,
-    tapeout,
-    fab_latency,
-    max_rate,
-    pipelined,
-    tapeout_scalar,
-    tap_latency,
-    assembly,
-    design_weeks,
-    relative_step,
-    sensitivity_out,
-    total_out,
-):
-    """Fused batch CAS: central-difference TTM sensitivity per node.
-
-    For every node ``p`` the perturbed totals re-walk all nodes with
-    node ``p``'s rate replaced — the same full recompute the NumPy path
-    performs, so the op order (and the bits) match.
-    """
-    n_processes = rates.shape[0]
-    n_samples = rates.shape[1]
-    for s in range(n_samples):
-        quantity = quantities[s]
-        packaging = (tap_latency + quantity * testing[s]) + quantity * assembly
-        total = 0.0
-        for p in range(n_processes):
-            step = rates[p, s] * relative_step
-            rate_up = max_rate[p] * ((rates[p, s] + 1.0 * step) / max_rate[p])
-            rate_down = max_rate[p] * (
-                (rates[p, s] + (-1.0) * step) / max_rate[p]
-            )
-            best_up = 0.0
-            best_down = 0.0
-            for i in range(n_processes):
-                if i == p:
-                    r_up = rate_up
-                    r_down = rate_down
-                else:
-                    r_up = rates[i, s]
-                    r_down = rates[i, s]
-                node_up = (
-                    backlog[i, s] / r_up + (quantity * wafers[i, s]) / r_up
-                ) + fab_latency[i]
-                node_down = (
-                    backlog[i, s] / r_down + (quantity * wafers[i, s]) / r_down
-                ) + fab_latency[i]
-                if pipelined:
-                    value_up = tapeout[i] + node_up
-                    value_down = tapeout[i] + node_down
-                else:
-                    value_up = node_up
-                    value_down = node_down
-                if i == 0 or value_up > best_up:
-                    best_up = value_up
-                if i == 0 or value_down > best_down:
-                    best_down = value_down
-            if pipelined:
-                fab_up = best_up - tapeout_scalar
-                fab_down = best_down - tapeout_scalar
-            else:
-                fab_up = best_up
-                fab_down = best_down
-            total_up = (
-                (design_weeks + tapeout_scalar) + fab_up
-            ) + packaging
-            total_down = (
-                (design_weeks + tapeout_scalar) + fab_down
-            ) + packaging
-            slope = (total_up - total_down) / (2.0 * step)
-            sensitivity = abs(slope)
-            sensitivity_out[p, s] = sensitivity
-            if p == 0:
-                total = sensitivity
-            else:
-                total = total + sensitivity
-        total_out[s] = total
-
-
-def cost_core(
-    quantities,
-    wafers,
-    node_cost,
-    yields,
-    counts,
-    ntts,
-    areas,
-    package_base,
-    handling,
-    area_usd,
-    test_usd,
-    wafer_out,
-    testing_out,
-    packaging_out,
-):
-    """Fused batch cost: wafer, testing and packaging USD per sample.
-
-    ``wafers``/``yields`` are (P, S)/(K, S) dense tensors; per-profile
-    scalars (``counts``/``ntts``/``areas``) are (K,).
-    """
-    n_processes = wafers.shape[0]
-    n_profiles = yields.shape[0]
-    n_samples = quantities.shape[0]
-    for s in range(n_samples):
-        quantity = quantities[s]
-        wafer_usd = 0.0
-        for i in range(n_processes):
-            wafer_usd = wafer_usd + (quantity * wafers[i, s]) * node_cost[i]
-        testing_usd = 0.0
-        packaging_usd = quantity * package_base
-        for k in range(n_profiles):
-            dies_tested = (quantity * counts[k]) / yields[k, s]
-            testing_usd = testing_usd + (dies_tested * ntts[k]) * test_usd
-            packaging_usd = packaging_usd + (quantity * counts[k]) * (
-                handling + areas[k] * area_usd
-            )
-        wafer_out[s] = wafer_usd
-        testing_out[s] = testing_usd
-        packaging_out[s] = packaging_usd
 
 
 def portfolio_ttm_core(
@@ -651,9 +475,6 @@ def scenario_eval_core(
 
 #: Kernel name -> pure-Python source function.
 KERNEL_SOURCES: Dict[str, Callable[..., None]] = {
-    "ttm": ttm_core,
-    "cas": cas_core,
-    "cost": cost_core,
     "portfolio_ttm": portfolio_ttm_core,
     "portfolio_cas": portfolio_cas_core,
     "portfolio_cost_accum": portfolio_cost_accum_core,
@@ -698,21 +519,8 @@ def warm_up_kernels() -> None:
         a = f.astype(dtype)
         a2 = f2.astype(dtype)
         a3 = f3.astype(dtype)
-        out1 = np.empty(1, dtype=dtype)
         out2 = np.empty((1, 1), dtype=dtype)
         out3 = np.empty((1, 1, 1), dtype=dtype)
-        get_kernel("ttm")(
-            a2, a2, a2, a, a, a, a, True, 1.0, 1.0, 1.0, 1.0,
-            out2.copy(), out1.copy(), out1.copy(), out1.copy(),
-        )
-        get_kernel("cas")(
-            a2, a2, a2, a, a, a, a, a, True, 1.0, 1.0, 1.0, 1.0, 1e-3,
-            out2.copy(), out1.copy(),
-        )
-        get_kernel("cost")(
-            a, a2, a, a2, a, a, a, 1.0, 1.0, 1.0, 1.0,
-            out1.copy(), out1.copy(), out1.copy(),
-        )
         get_kernel("portfolio_ttm")(
             a3, 1, a3, 1, a3, 1, a2, 1, a2, 1, 1, mask, a2, a2, a, a, a,
             True, 1.0, out2.copy(), out2.copy(), out2.copy(),
@@ -738,14 +546,11 @@ def warm_up_kernels() -> None:
 
 __all__ = [
     "KERNEL_SOURCES",
-    "cas_core",
-    "cost_core",
     "get_kernel",
     "jit_compile",
     "portfolio_cas_core",
     "portfolio_cost_accum_core",
     "portfolio_ttm_core",
     "scenario_eval_core",
-    "ttm_core",
     "warm_up_kernels",
 ]

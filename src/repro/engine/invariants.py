@@ -182,32 +182,11 @@ class DesignInvariants:
     alpha: float = DEFAULT_ALPHA
     die_profiles: Tuple[DieYieldProfile, ...] = ()
 
-    def wafers_per_chip_at(self, d0_scale: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Per-process wafers per final chip with D0 scaled per sample.
 
-        Returns one array per entry of ``processes``, each broadcast to
-        ``d0_scale``'s shape. ``d0_scale=1`` reproduces the cached
-        ``wafers_per_chip`` scalars to floating-point round-off.
-        """
-        scale = np.asarray(d0_scale, dtype=float)
-        totals = [np.zeros(scale.shape) for _ in self.processes]
-        for profile in self.die_profiles:
-            good = profile.gross_per_wafer * profile.yield_at(scale, self.alpha)
-            totals[profile.process_index] = (
-                totals[profile.process_index] + profile.count / good
-            )
-        return tuple(totals)
-
-    def testing_weeks_per_chip_at(self, d0_scale: np.ndarray) -> np.ndarray:
-        """Eq. 7 testing term per chip with D0 scaled per sample."""
-        scale = np.asarray(d0_scale, dtype=float)
-        total = np.zeros(scale.shape)
-        for profile in self.die_profiles:
-            die_yield = profile.yield_at(scale, self.alpha)
-            total = total + (
-                profile.count / die_yield * profile.ntt * profile.testing_effort
-            )
-        return total
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """Freeze ``array`` in place and return it."""
+    array.setflags(write=False)
+    return array
 
 
 class _IdKey:
@@ -370,24 +349,29 @@ def compute_invariants(
             )
         )
 
-    def _readonly(values) -> np.ndarray:
-        array = np.array(values, dtype=float)
-        array.flags.writeable = False
-        return array
-
     return DesignInvariants(
         processes=processes,
-        tapeout_weeks=_readonly([tapeout.get(p, 0.0) for p in processes]),
+        tapeout_weeks=_readonly(
+            np.array([tapeout.get(p, 0.0) for p in processes], dtype=float)
+        ),
         sequential_tapeout_weeks=sequential_tapeout_calendar_weeks(
             design, technology, engineers
         ),
         max_rate=_readonly(
-            [technology[p].max_wafer_rate_per_week for p in processes]
+            np.array(
+                [technology[p].max_wafer_rate_per_week for p in processes],
+                dtype=float,
+            )
         ),
         fab_latency_weeks=_readonly(
-            [technology[p].fab_latency_weeks for p in processes]
+            np.array(
+                [technology[p].fab_latency_weeks for p in processes],
+                dtype=float,
+            )
         ),
-        wafers_per_chip=_readonly([wafers_per_chip[p] for p in processes]),
+        wafers_per_chip=_readonly(
+            np.array([wafers_per_chip[p] for p in processes], dtype=float)
+        ),
         testing_weeks_per_chip=testing,
         assembly_weeks_per_chip=assembly,
         design_weeks=design.design_weeks,

@@ -1,16 +1,17 @@
-"""Design-axis vectorization: one fused pass over (designs x samples).
+"""The per-design kernel: one fused pass over (designs x samples).
 
-The batch kernels in :mod:`repro.engine.batch` vectorize the *sample*
-axis but still run once per design, so every multi-design workload —
-fig03/fig13 pair sweeps, Monte Carlo design comparisons, co-design
-candidate scoring, portfolio assessment — pays a Python loop, a kernel
-dispatch and an invariant lookup per design. This module removes that
-loop: :func:`compile_portfolio` stacks the per-design
+Every multi-design workload — fig03/fig13 pair sweeps, Monte Carlo
+design comparisons, co-design candidate scoring, portfolio assessment —
+evaluates all its designs at once instead of paying a Python loop, a
+kernel dispatch and an invariant lookup per design.
+:func:`compile_portfolio` stacks the per-design
 :class:`~repro.engine.invariants.DesignInvariants` scalars into aligned
 structure-of-arrays tensors (padded to the widest design's node count,
 with a ``node_mask``), and :func:`portfolio_ttm` /
 :func:`portfolio_cas` / :func:`portfolio_cost` evaluate the full
-``(n_designs, n_samples)`` tensor in one broadcasted pass.
+``(n_designs, n_samples)`` tensor in one broadcasted pass. A single
+design is the one-row case: the per-design ``batch_*`` functions of
+:mod:`repro.engine.batch` are shape adapters over these kernels.
 
 Common random numbers
 ---------------------
@@ -22,9 +23,9 @@ sample) low-variance. They must therefore be scalars or 1-D sample
 vectors; only ``n_chips`` may carry a per-design leading axis
 ``(n_designs, n_samples)`` (products ship different volumes in the same
 world). Padded node slots hold neutral values (rate 1, zero wafers, zero
-latency) and are masked out of every reduction, so rows of the result
-are bit-comparable to a per-design :func:`~repro.engine.batch.batch_ttm`
-call — the equivalence suite pins each cell to <= 1e-9.
+latency) and are masked out of every reduction, so each row is what
+that design evaluates to alone — the equivalence suite pins each cell
+to the scalar paper model within 1e-9 relative error.
 
 Compiled portfolios are cached in the shared invariant LRU
 (:func:`~repro.engine.invariants.cached_invariants`) under a fingerprint
@@ -36,10 +37,12 @@ served requests skip recompilation entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..agility.cas import WAFERS_PER_NORMALIZED_UNIT
 from ..agility.derivative import DEFAULT_RELATIVE_STEP
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
@@ -48,12 +51,12 @@ from ..obs.instrument import observed_kernel
 from ..technology.database import TechnologyDatabase
 from ..technology.yield_model import DEFAULT_ALPHA
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
-from .batch import _WAFERS_PER_NORMALIZED_UNIT, _as_positive_array
 from .compiled import get_backend
 from .invariants import (
     DesignInvariants,
     DieYieldProfile,
     _IdKey,
+    _readonly,
     cached_invariants,
     design_invariants,
 )
@@ -64,8 +67,14 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 CapacityLike = Union[ArrayLike, Mapping[str, ArrayLike]]
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
+def _as_positive_array(values: ArrayLike, what: str) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    if array.size == 0:
+        raise InvalidParameterError(f"{what} must be non-empty")
+    flat = array.reshape(-1)
+    if not (flat > 0.0).all():
+        bad = float(flat[~(flat > 0.0)][0])
+        raise InvalidParameterError(f"{what} must be positive, got {bad}")
     return array
 
 
@@ -102,7 +111,6 @@ class PortfolioInvariants:
     assembly_weeks_per_chip: np.ndarray
     design_weeks: np.ndarray
     alpha: float
-    per_design: Tuple[DesignInvariants, ...]
     profile_design: np.ndarray
     profile_node: np.ndarray
     profile_count: np.ndarray
@@ -122,6 +130,11 @@ class PortfolioInvariants:
     def max_nodes(self) -> int:
         """Padded node-axis width (widest design's node count)."""
         return int(self.node_mask.shape[1])
+
+    @cached_property
+    def padded(self) -> bool:
+        """Whether any design has fewer nodes than :attr:`max_nodes`."""
+        return not bool(np.all(self.node_mask))
 
     def profile_yields(self, d0_scale: ArrayLike) -> np.ndarray:
         """Per-die-type sellable yield, shape ``(n_profiles, n_samples)``.
@@ -150,8 +163,7 @@ class PortfolioInvariants:
         Returns ``(n_designs, max_nodes, n_samples)``; padded node slots
         stay 0. Contributions accumulate in global profile order, which
         per (design, node) cell is each design's own die order — the
-        same order as the scalar accumulation, so the result matches
-        ``DesignInvariants.wafers_per_chip_at`` to the last bit.
+        same order as the scalar accumulation.
         ``yields``, when given, must be ``profile_yields(d0_scale)``
         (callers evaluating several yield-dependent tensors share one
         ``pow`` pass; the result is bit-identical either way).
@@ -194,25 +206,20 @@ class PortfolioInvariants:
         return out
 
 
-def _compile(
-    designs: Tuple[ChipDesign, ...],
+def _stack_invariants(
+    designs: Sequence[ChipDesign],
+    per_design: Sequence[DesignInvariants],
     technology: TechnologyDatabase,
-    engineers: int,
-    alpha: float,
-    edge_corrected: bool,
-    block_parallel: bool,
 ) -> PortfolioInvariants:
-    per_design = tuple(
-        design_invariants(
-            design,
-            technology,
-            engineers,
-            alpha=alpha,
-            edge_corrected=edge_corrected,
-            block_parallel=block_parallel,
-        )
-        for design in designs
-    )
+    """Stack already-resolved per-design invariants (no caching).
+
+    ``per_design[i]`` must be ``designs[i]``'s invariants under
+    ``technology``; the per-node cost columns are read from
+    ``technology``. :func:`compile_portfolio` resolves and caches the
+    stack; the per-design ``batch_*`` adapters stack the one
+    :class:`~repro.engine.invariants.DesignInvariants` entry they
+    already hold.
+    """
     n_designs = len(designs)
     max_nodes = max(len(inv.processes) for inv in per_design)
 
@@ -293,8 +300,7 @@ def _compile(
         testing_weeks_per_chip=_readonly(testing),
         assembly_weeks_per_chip=_readonly(assembly),
         design_weeks=_readonly(design_weeks),
-        alpha=alpha,
-        per_design=per_design,
+        alpha=per_design[0].alpha,
         profile_design=_readonly(np.asarray(profile_design, dtype=np.intp)),
         profile_node=_readonly(np.asarray(profile_node, dtype=np.intp)),
         profile_count=_readonly(np.asarray(profile_count, dtype=float)),
@@ -350,7 +356,7 @@ def compile_portfolio(
 
     Compilation itself goes through :func:`design_invariants`, so the
     per-design entries land in (or come from) the same shared LRU the
-    scalar batch kernels use; the stacked result is cached under its
+    per-design lookups use; the stacked result is cached under its
     :func:`portfolio_fingerprint`.
     """
     designs = tuple(designs)
@@ -368,15 +374,27 @@ def compile_portfolio(
     )
     return cached_invariants(
         key,
-        lambda: _compile(
+        lambda: _stack_invariants(
             designs,
+            [
+                design_invariants(
+                    design,
+                    technology,
+                    engineers,
+                    alpha=alpha,
+                    edge_corrected=edge_corrected,
+                    block_parallel=block_parallel,
+                )
+                for design in designs
+            ],
             technology,
-            engineers,
-            alpha,
-            edge_corrected,
-            block_parallel,
         ),
     )
+
+
+def _fit(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``np.broadcast_to`` that passes arrays already at ``shape`` through."""
+    return array if array.shape == shape else np.broadcast_to(array, shape)
 
 
 def _sample_array(
@@ -393,10 +411,10 @@ def _sample_array(
         )
     flat = array.reshape(-1)
     if nonnegative:
-        if not np.all(flat >= 0.0):
+        if not (flat >= 0.0).all():
             bad = float(flat[~(flat >= 0.0)][0])
             raise InvalidParameterError(f"{what} must be >= 0, got {bad}")
-    elif not np.all(flat > 0.0):
+    elif not (flat > 0.0).all():
         bad = float(flat[~(flat > 0.0)][0])
         raise InvalidParameterError(f"{what} must be positive, got {bad}")
     return array
@@ -523,9 +541,7 @@ def _portfolio_supply(
             rates = _mul(scaled_max_rate, base[:, :, None], rates_out)
         else:
             if scratch is None:
-                tail = np.broadcast_shapes(
-                    *(value.shape for value in mapping.values())
-                )
+                tail = np.broadcast(*mapping.values()).shape if mapping else ()
                 fraction_tensor = np.empty(
                     (n_designs, max_nodes) + (tail if tail else (1,))
                 )
@@ -547,9 +563,6 @@ def _portfolio_supply(
             for p, name in enumerate(processes):
                 quotes[d, p] = conditions.queue_weeks_for(name)
         backlog = _mul(quotes[:, :, None], scaled_max_rate, backlog_out)
-    backlog = np.broadcast_to(
-        backlog, np.broadcast_shapes(backlog.shape, rates.shape)
-    )
 
     if d0_scale is None:
         wafers = invariants.wafers_per_chip[:, :, None]
@@ -566,62 +579,76 @@ def _portfolio_supply(
     )
 
 
-def _total_weeks_at_rates(
+def _node_completion(
+    invariants: PortfolioInvariants,
+    schedule: str,
+    backlog: np.ndarray,
+    load: np.ndarray,
+    rates: np.ndarray,
+    nodes: slice = slice(None),
+) -> np.ndarray:
+    """Per-node completion weeks, ``(D, nodes, S)``, at explicit ``rates``.
+
+    Queue drain (``backlog / rates``) + production (``load / rates``,
+    where ``load`` is quantity x wafers per chip) + fab latency for the
+    ``nodes`` slots, which ``backlog``/``load``/``rates`` already cover,
+    plus the node's own tapeout under the pipelined schedule: the value
+    the node-axis max reduces.
+    """
+    node_total = (
+        backlog / rates
+        + load / rates
+        + invariants.fab_latency_weeks[:, nodes, None]
+    )
+    if schedule == "pipelined":
+        return invariants.tapeout_weeks[:, nodes, None] + node_total
+    return node_total
+
+
+def _fabrication(
+    invariants: PortfolioInvariants, schedule: str, completion: np.ndarray
+) -> np.ndarray:
+    """Fabrication weeks ``(D, S)``: the latest node, padded slots masked."""
+    if invariants.padded:
+        completion = np.where(
+            invariants.node_mask[:, :, None], completion, -np.inf
+        )
+    if completion.shape[1] == 1:
+        latest = completion[:, 0]
+    else:
+        latest = np.max(completion, axis=1)
+    if schedule == "pipelined":
+        return latest - invariants.max_tapeout_weeks[:, None]
+    return latest
+
+
+def _tapeout_and_packaging(
     invariants: PortfolioInvariants,
     schedule: str,
     tap_latency_weeks: float,
-    quantities_node: np.ndarray,
     quantities_design: np.ndarray,
     supply: _PortfolioSupply,
-    rates: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(tapeout, fabrication, packaging, total) weeks, each ``(D, S)``.
-
-    The arithmetic mirrors ``batch.batch_ttm`` term for term (same
-    association order) so each row reproduces the per-design kernel to
-    the last bit; padded node slots are masked to ``-inf`` before the
-    node-axis max-reductions.
-    """
-    mask = invariants.node_mask[:, :, None]
-    queue_drain_weeks = supply.backlog / rates
-    production_weeks = quantities_node * supply.wafers_per_chip / rates
-    node_total = (
-        queue_drain_weeks
-        + production_weeks
-        + invariants.fab_latency_weeks[:, :, None]
-    )
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rate-independent phases: tapeout ``(D, 1)``, packaging ``(D, S)``."""
     if schedule == "pipelined":
         tapeout_weeks = invariants.max_tapeout_weeks[:, None]
-        ready = invariants.tapeout_weeks[:, :, None] + node_total
-        fabrication_weeks = (
-            np.max(np.where(mask, ready, -np.inf), axis=1) - tapeout_weeks
-        )
     else:
         tapeout_weeks = invariants.sequential_tapeout_weeks[:, None]
-        fabrication_weeks = np.max(
-            np.where(mask, node_total, -np.inf), axis=1
-        )
     packaging_weeks = (
         tap_latency_weeks
         + quantities_design * supply.testing_weeks_per_chip
         + quantities_design * invariants.assembly_weeks_per_chip[:, None]
     )
-    total_weeks = (
-        invariants.design_weeks[:, None]
-        + tapeout_weeks
-        + fabrication_weeks
-        + packaging_weeks
-    )
-    return tapeout_weeks, fabrication_weeks, packaging_weeks, total_weeks
+    return tapeout_weeks, packaging_weeks
 
 
 @dataclass(frozen=True)
 class PortfolioTTMResult:
     """TTM phase breakdown over the full (designs x samples) tensor.
 
-    Row ``i`` equals :func:`~repro.engine.batch.batch_ttm` for design
-    ``i`` under the same sampled supply (common random numbers). All
-    arrays share the broadcast shape ``(n_designs, n_samples)``.
+    Row ``i`` is design ``i`` under the shared sampled supply (common
+    random numbers). All arrays share the broadcast shape
+    ``(n_designs, n_samples)``.
     """
 
     designs: Tuple[str, ...]
@@ -647,12 +674,12 @@ def portfolio_ttm(
 ) -> PortfolioTTMResult:
     """Vectorized TTM for every design under one shared sample set.
 
-    Semantics per design match :func:`~repro.engine.batch.batch_ttm`
-    (``capacity=None`` keeps current conditions, a scalar/vector is a
-    global fraction, a mapping overrides listed nodes). The sampled
-    supply arrays are shared across designs — the common-random-numbers
-    guarantee — and must be scalars or 1-D; ``n_chips`` may additionally
-    be a ``(n_designs, n_samples)`` matrix.
+    ``capacity=None`` keeps current conditions, a scalar/vector is a
+    global fraction (as in ``TTMModel.at_capacity``), a mapping
+    overrides listed nodes. The sampled supply arrays are shared across
+    designs — the common-random-numbers guarantee — and must be scalars
+    or 1-D; ``n_chips`` may additionally be a ``(n_designs, n_samples)``
+    matrix.
 
     ``invariants`` accepts a pre-compiled portfolio (e.g. a
     shared-memory attach in a worker process); when given, ``designs``
@@ -684,34 +711,41 @@ def portfolio_ttm(
         return portfolio_ttm_from_supply(
             model, invariants, quantities_design, supply
         )
-    tapeout_weeks, fabrication_weeks, packaging_weeks, total_weeks = (
-        _total_weeks_at_rates(
+    tapeout_weeks, packaging_weeks = _tapeout_and_packaging(
+        invariants,
+        model.schedule,
+        model.tap_latency_weeks,
+        quantities_design,
+        supply,
+    )
+    fabrication_weeks = _fabrication(
+        invariants,
+        model.schedule,
+        _node_completion(
             invariants,
             model.schedule,
-            model.tap_latency_weeks,
-            quantities_node,
-            quantities_design,
-            supply,
+            supply.backlog,
+            quantities_node * supply.wafers_per_chip,
             supply.rates,
-        )
+        ),
     )
-    total_wafers = quantities_design * np.sum(
-        supply.wafers_per_chip, axis=1
+    total_weeks = (
+        invariants.design_weeks[:, None]
+        + tapeout_weeks
+        + fabrication_weeks
+        + packaging_weeks
     )
-    shape = np.broadcast_shapes(
-        total_weeks.shape, np.shape(total_wafers)
-    )
+    total_wafers = quantities_design * supply.wafers_per_chip.sum(axis=1)
+    shape = np.broadcast(total_weeks, total_wafers).shape
     return PortfolioTTMResult(
         designs=invariants.designs,
         schedule=model.schedule,
         design_weeks=invariants.design_weeks,
-        tapeout_weeks=np.broadcast_to(tapeout_weeks, shape),
-        fabrication_weeks=np.broadcast_to(fabrication_weeks, shape),
-        packaging_weeks=np.broadcast_to(packaging_weeks, shape),
-        total_weeks=np.broadcast_to(total_weeks, shape),
-        total_wafers=np.broadcast_to(
-            np.asarray(total_wafers, dtype=float), shape
-        ),
+        tapeout_weeks=_fit(tapeout_weeks, shape),
+        fabrication_weeks=_fit(fabrication_weeks, shape),
+        packaging_weeks=_fit(packaging_weeks, shape),
+        total_weeks=_fit(total_weeks, shape),
+        total_wafers=_fit(np.asarray(total_wafers, dtype=float), shape),
     )
 
 
@@ -732,7 +766,7 @@ class PortfolioCASResult:
     @property
     def normalized(self) -> np.ndarray:
         """CAS in the figures' normalized (kilo-wafer) units."""
-        return self.cas / _WAFERS_PER_NORMALIZED_UNIT
+        return self.cas / WAFERS_PER_NORMALIZED_UNIT
 
 
 @observed_kernel("engine.portfolio_cas", lambda r: r.cas.size)
@@ -750,8 +784,8 @@ def portfolio_cas(
     """Vectorized CAS for every design under one shared sample set.
 
     Each node slot's rate is perturbed by ``relative_step`` in both
-    directions and the central-difference TTM slope accumulated, exactly
-    as in :func:`~repro.engine.batch.batch_cas`; padded slots perturb a
+    directions and the central-difference TTM slope accumulated, as in
+    :func:`~repro.agility.cas.chip_agility_score`; padded slots perturb a
     neutral rate that is masked out of the TTM reduction, so their slope
     is exactly zero and the per-design sensitivity sum is unchanged.
     """
@@ -786,54 +820,75 @@ def portfolio_cas(
             model, invariants, quantities_design, supply, relative_step
         )
 
-    base_rates = np.ascontiguousarray(supply.rates)
+    schedule = model.schedule
+    tapeout_weeks, packaging_weeks = _tapeout_and_packaging(
+        invariants,
+        schedule,
+        model.tap_latency_weeks,
+        quantities_design,
+        supply,
+    )
+    head = invariants.design_weeks[:, None] + tapeout_weeks
+    load = quantities_node * supply.wafers_per_chip
+    single = invariants.max_nodes == 1
+    if not single:
+        completion = _node_completion(
+            invariants, schedule, supply.backlog, load, supply.rates
+        )
     sensitivities = []
     total = None
     for p in range(invariants.max_nodes):
-        step = base_rates[:, p, :] * relative_step
+        # Only node p's completion moves when its rate is perturbed; the
+        # other slots keep their base values bit for bit.
+        nodes = slice(p, p + 1)
+        base_rate = supply.rates[:, nodes]
+        max_rate = invariants.max_rate[:, nodes, None]
+        step = base_rate * relative_step
         perturbed_ttm = []
         for sign in (+1.0, -1.0):
-            rate = base_rates[:, p, :] + sign * step
+            rate = base_rate + sign * step
             # Mirror the scalar path's rate -> fraction -> rate round trip
             # (conditions store fractions, the foundry rescales by max rate).
-            effective = invariants.max_rate[:, p, None] * (
-                rate / invariants.max_rate[:, p, None]
+            effective = max_rate * (rate / max_rate)
+            moved = _node_completion(
+                invariants,
+                schedule,
+                supply.backlog[:, nodes],
+                load[:, nodes],
+                effective,
+                nodes,
             )
-            rates = base_rates.copy()
-            rates[:, p, :] = effective
+            if single:
+                values = moved
+            else:
+                values = completion.copy()
+                values[:, nodes] = moved
             perturbed_ttm.append(
-                _total_weeks_at_rates(
-                    invariants,
-                    model.schedule,
-                    model.tap_latency_weeks,
-                    quantities_node,
-                    quantities_design,
-                    supply,
-                    rates,
-                )[3]
+                head + _fabrication(invariants, schedule, values)
+                + packaging_weeks
             )
-        slope = (perturbed_ttm[0] - perturbed_ttm[1]) / (2.0 * step)
+        slope = (perturbed_ttm[0] - perturbed_ttm[1]) / (2.0 * step[:, 0])
         sensitivity = np.abs(slope)
         sensitivities.append(sensitivity)
         total = sensitivity if total is None else total + sensitivity
 
-    row_positive = np.all(
-        total > 0.0, axis=tuple(range(1, np.ndim(total)))
-    )
+    row_positive = (total > 0.0).all(axis=1)
     if not np.all(row_positive):
         bad = invariants.designs[int(np.argmin(row_positive))]
         raise InvalidParameterError(
             f"design {bad!r} has zero TTM sensitivity on all nodes; "
             "CAS is unbounded (check the production volume is non-trivial)"
         )
-    shape = np.shape(total)
+    sensitivity = np.empty(
+        (invariants.n_designs, invariants.max_nodes) + total.shape[1:]
+    )
+    for p, node_sensitivity in enumerate(sensitivities):
+        sensitivity[:, p] = node_sensitivity
     return PortfolioCASResult(
         designs=invariants.designs,
         processes=invariants.processes,
         cas=1.0 / total,
-        sensitivity=np.stack(
-            [np.broadcast_to(s, shape) for s in sensitivities], axis=1
-        ),
+        sensitivity=sensitivity,
     )
 
 
@@ -842,8 +897,7 @@ class PortfolioCostResult:
     """Chip-creation cost breakdown over the (designs x samples) tensor.
 
     NRE terms are per-design ``(n_designs,)`` vectors; recurring terms
-    share the broadcast shape ``(n_designs, n_samples)``. Row ``i``
-    equals :func:`~repro.engine.batch.batch_cost` for design ``i``.
+    share the broadcast shape ``(n_designs, n_samples)``.
     """
 
     designs: Tuple[str, ...]
@@ -912,13 +966,14 @@ def portfolio_cost(
         return portfolio_cost_from_parts(
             cost_model, invariants, quantities_node, quantities_design, scale
         )
+    yields = invariants.profile_yields(scale)
     return _portfolio_cost_from_tensors(
         cost_model,
         invariants,
         quantities_node,
         quantities_design,
-        invariants.wafers_per_chip_at(scale),
-        invariants.profile_yields(scale),
+        invariants.wafers_per_chip_at(scale, yields=yields),
+        yields,
     )
 
 
@@ -964,19 +1019,17 @@ def _portfolio_cost_from_tensors(
     per-profile quantities times ``profile_count`` (demand-only, so the
     scenario cube shares it across D0 groups).
     """
-    engineering = np.sum(
-        invariants.tapeout_effort_weeks * cost_model.engineer_week_cost_usd,
-        axis=1,
-    )
-    fixed = np.sum(invariants.tapeout_fixed_usd, axis=1)
-    masks = np.sum(invariants.mask_set_usd, axis=1)
+    engineering = (
+        invariants.tapeout_effort_weeks * cost_model.engineer_week_cost_usd
+    ).sum(axis=1)
+    fixed = invariants.tapeout_fixed_usd.sum(axis=1)
+    masks = invariants.mask_set_usd.sum(axis=1)
 
     if production_load is None:
         production_load = quantities_node * wafers_per_chip
-    wafer_usd = np.sum(
-        production_load * invariants.wafer_cost_usd[:, :, None],
-        axis=1,
-    )
+    wafer_usd = (
+        production_load * invariants.wafer_cost_usd[:, :, None]
+    ).sum(axis=1)
 
     if quantities_design.ndim == 2:
         profile_quantities: np.ndarray = quantities_design[
@@ -1014,17 +1067,15 @@ def _portfolio_cost_from_tensors(
         packaging_usd, invariants.profile_design, packaging_contribution
     )
 
-    shape = np.broadcast_shapes(
-        (invariants.n_designs,) + tail, np.shape(wafer_usd)
-    )
+    shape = np.broadcast(testing_usd, wafer_usd).shape
     return PortfolioCostResult(
         designs=invariants.designs,
         engineering_usd=engineering,
         fixed_usd=fixed,
         mask_usd=masks,
-        wafer_usd=np.broadcast_to(np.asarray(wafer_usd, float), shape),
-        testing_usd=np.broadcast_to(testing_usd, shape),
-        packaging_usd=np.broadcast_to(packaging_usd, shape),
+        wafer_usd=_fit(np.asarray(wafer_usd, float), shape),
+        testing_usd=_fit(testing_usd, shape),
+        packaging_usd=_fit(packaging_usd, shape),
         n_chips=np.broadcast_to(quantities_design, shape),
     )
 

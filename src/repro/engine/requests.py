@@ -38,12 +38,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..agility.cas import WAFERS_PER_NORMALIZED_UNIT
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
-from .batch import _WAFERS_PER_NORMALIZED_UNIT
 from .portfolio import compile_portfolio, portfolio_cas, portfolio_cost, portfolio_ttm
 
 #: Metric families a point request may ask for.
@@ -283,7 +283,7 @@ def _fused_point_eval_body(
         )
         families["cas"] = {
             "cas": cas.cas,
-            "cas_normalized": cas.cas / _WAFERS_PER_NORMALIZED_UNIT,
+            "cas_normalized": cas.cas / WAFERS_PER_NORMALIZED_UNIT,
         }
     if "cost" in plan.metrics:
         if cost_model is None:

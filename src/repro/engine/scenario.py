@@ -49,13 +49,14 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..agility.cas import WAFERS_PER_NORMALIZED_UNIT
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.instrument import observed_kernel
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
-from .batch import _WAFERS_PER_NORMALIZED_UNIT
 from .compiled import get_backend
+from .invariants import _readonly
 from .portfolio import (
     DEFAULT_RELATIVE_STEP,
     PortfolioInvariants,
@@ -69,11 +70,6 @@ from .portfolio import (
 )
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -399,7 +395,7 @@ class ScenarioCASResult:
     @property
     def normalized(self) -> np.ndarray:
         """CAS in the figures' normalized (kilo-wafer) units."""
-        return self.cas / _WAFERS_PER_NORMALIZED_UNIT
+        return self.cas / WAFERS_PER_NORMALIZED_UNIT
 
 
 @dataclass(frozen=True)

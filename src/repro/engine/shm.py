@@ -403,7 +403,6 @@ class PortfolioShare:
     designs: Tuple[str, ...]
     processes: Tuple[Tuple[str, ...], ...]
     alpha: float
-    per_design: tuple
     special_profiles: tuple
 
     def materialize(self):
@@ -417,7 +416,6 @@ class PortfolioShare:
                 designs=self.designs,
                 processes=self.processes,
                 alpha=self.alpha,
-                per_design=self.per_design,
                 special_profiles=self.special_profiles,
                 **{name: arrays[name] for name in PORTFOLIO_ARRAY_FIELDS},
             )
@@ -436,7 +434,6 @@ def share_portfolio(invariants) -> PortfolioShare:
         designs=invariants.designs,
         processes=invariants.processes,
         alpha=invariants.alpha,
-        per_design=invariants.per_design,
         special_profiles=invariants.special_profiles,
     )
 

@@ -26,6 +26,7 @@ which is what makes "coalesced == solo, byte for byte" testable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
@@ -125,6 +126,17 @@ def _require_mapping(body: Any) -> Mapping[str, Any]:
     return body
 
 
+def _finite(value: Any, what: str) -> float:
+    """``float(value)`` for a JSON number, rejecting NaN and +-Infinity."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a double
+        number = math.inf
+    if not math.isfinite(number):
+        raise BadRequestError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def _number(
     body: Mapping[str, Any],
     key: str,
@@ -140,7 +152,7 @@ def _number(
         raise BadRequestError(
             f"field {key!r} must be a number, got {value!r}"
         )
-    return float(value)
+    return _finite(value, f"field {key!r}")
 
 
 def _integer(
@@ -150,6 +162,24 @@ def _integer(
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadRequestError(
             f"field {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def _seed(body: Mapping[str, Any]) -> int:
+    """The per-request seed: a non-negative integer (``SeedSequence``)."""
+    seed = _integer(body, "seed", 0)
+    if seed < 0:
+        raise BadRequestError(f"'seed' must be >= 0, got {seed}")
+    return seed
+
+
+def _boolean(body: Mapping[str, Any], key: str, default: bool) -> bool:
+    """A flag that must be a JSON ``true``/``false``; nothing is coerced."""
+    value = body.get(key, default)
+    if not isinstance(value, bool):
+        raise BadRequestError(
+            f"field {key!r} must be true or false, got {value!r}"
         )
     return value
 
@@ -168,7 +198,9 @@ def _capacity(body: Mapping[str, Any]) -> Optional[Any]:
                     f"capacity for node {node!r} must be a number, "
                     f"got {fraction!r}"
                 )
-            out[str(node)] = float(fraction)
+            out[str(node)] = _finite(
+                fraction, f"capacity for node {node!r}"
+            )
         if not out:
             raise BadRequestError("capacity mapping must not be empty")
         return out
@@ -177,7 +209,7 @@ def _capacity(body: Mapping[str, Any]) -> Optional[Any]:
             f"field 'capacity' must be a number or a node mapping, "
             f"got {value!r}"
         )
-    return float(value)
+    return _finite(value, "field 'capacity'")
 
 
 def _metrics(body: Mapping[str, Any]) -> Tuple[str, ...]:
@@ -504,7 +536,7 @@ def parse_mc(
     samples = _integer(body, "samples", 1024)
     if samples <= 0:
         raise BadRequestError(f"'samples' must be positive, got {samples}")
-    seed = _integer(body, "seed", 0)
+    seed = _seed(body)
     mc_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
     if mc_chips <= 0:  # type: ignore[operator]
         raise BadRequestError(f"'n_chips' must be positive, got {mc_chips}")
@@ -514,7 +546,7 @@ def parse_mc(
         "queue_weeks": _number(body, "queue_weeks", 2.0),
         "capacity": _number(body, "capacity", 0.9),
     }
-    with_cost = bool(body.get("with_cost", True))
+    with_cost = _boolean(body, "with_cost", True)
     key = (
         "mc",
         scenario,
@@ -562,8 +594,8 @@ def parse_splits(
     scenario = str(body.get("scenario", "nominal"))
     state.model_for(scenario)
     n_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    refine = bool(body.get("refine", False))
-    with_cas = bool(body.get("with_cas", True))
+    refine = _boolean(body, "refine", False)
+    with_cas = _boolean(body, "with_cas", True)
     normalized = {
         "pairs": [list(pair) for pair in pairs],
         "design": label,
@@ -633,13 +665,13 @@ def parse_scenarios(
     samples = _integer(body, "samples", 1024)
     if samples <= 0:
         raise BadRequestError(f"'samples' must be positive, got {samples}")
-    correlated = bool(body.get("correlated", False))
+    correlated = _boolean(body, "correlated", False)
     if correlated and samples % 2:
         raise BadRequestError(
             "correlated sampling is antithetic and needs an even "
             f"'samples', got {samples}"
         )
-    seed = _integer(body, "seed", 0)
+    seed = _seed(body)
     mc_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
     if mc_chips <= 0:  # type: ignore[operator]
         raise BadRequestError(f"'n_chips' must be positive, got {mc_chips}")
@@ -649,7 +681,7 @@ def parse_scenarios(
         "queue_weeks": _number(body, "queue_weeks", 2.0),
         "capacity": _number(body, "capacity", 0.9),
     }
-    with_cost = bool(body.get("with_cost", True))
+    with_cost = _boolean(body, "with_cost", True)
     key = (
         "scenarios",
         scenario,

@@ -178,11 +178,6 @@ class TestFloat64BitEquality:
                 getattr(reference, name), getattr(compiled, name)
             )
         assert reference.design_weeks == compiled.design_weeks
-        assert set(reference.per_node_ready_weeks) == set(
-            compiled.per_node_ready_weeks
-        )
-        for node, ready in reference.per_node_ready_weeks.items():
-            assert_bit_equal(ready, compiled.per_node_ready_weeks[node])
 
     def test_batch_cas(self, nominal, supply):
         design = a11("7nm")
@@ -375,15 +370,23 @@ class TestPropertyEquivalence:
 
 class TestObservability:
     def test_kernel_metrics_carry_the_backend_label(self, nominal):
+        # batch_ttm is a shape adapter: its one evaluation is counted
+        # once, under the portfolio kernel it runs.
         from repro.obs.instrument import KERNEL_INVOCATIONS
 
         design = demo_chip_a()
         before = KERNEL_INVOCATIONS.value(
-            backend="compiled", kernel="engine.batch_ttm"
+            backend="compiled", kernel="engine.portfolio_ttm"
         )
         with use_backend("compiled"):
             batch_ttm(nominal, design, (1e6,))
         after = KERNEL_INVOCATIONS.value(
-            backend="compiled", kernel="engine.batch_ttm"
+            backend="compiled", kernel="engine.portfolio_ttm"
         )
         assert after == before + 1
+        assert (
+            KERNEL_INVOCATIONS.value(
+                backend="compiled", kernel="engine.batch_ttm"
+            )
+            == 0
+        )
