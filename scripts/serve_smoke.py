@@ -11,7 +11,9 @@ the service's headline contract, end to end over real HTTP:
    (X-Batch-Size > 1) and every response is byte-identical to a solo
    request's response;
 3. ``/mc`` and ``/splits`` answer and are deterministic across repeats;
-4. malformed input gets a structured 400, not a hang or a 500;
+4. malformed input gets a structured 400, not a hang or a 500 —
+   including a design body the parser once crashed on and a negative
+   ``Content-Length`` (through the router on a sharded server);
 5. ``/metrics`` exposes the full ``serve_*`` family (optionally written
    to ``--metrics-out`` for the CI artifact);
 6. with ``--expect-workers N`` (a sharded ``--workers N`` server): the
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import socket
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -92,6 +95,17 @@ def check_stitched_trace(client: ServeClient) -> bool:
         wanted <= names and len(pids) >= 2,
         f"spans {sorted(names)}, {len(pids)} pid(s)",
     )
+
+
+def raw_status(client: ServeClient, raw: bytes) -> int:
+    """Send raw request bytes; the status code of the reply (0: none)."""
+    with socket.create_connection(
+        (client.host, client.port), timeout=client.timeout
+    ) as sock:
+        sock.sendall(raw)
+        reply = sock.recv(65536)
+    match = re.match(rb"HTTP/1\.1 (\d{3}) ", reply)
+    return int(match.group(1)) if match else 0
 
 
 def run_checks(
@@ -152,6 +166,21 @@ def run_checks(
         "malformed JSON is a structured 400",
         bad.status == 400 and bad.json()["error"]["code"] == "invalid_json",
         f"status {bad.status}",
+    )
+
+    poison = client.post("/evaluate", {"design": {"library": ["a11"]}})
+    ok &= check(
+        "poison design body is a 4xx",
+        400 <= poison.status < 500,
+        f"status {poison.status}",
+    )
+    negative = raw_status(
+        client, b"POST /evaluate HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+    )
+    ok &= check(
+        "negative Content-Length is a 4xx",
+        400 <= negative < 500,
+        f"status {negative}",
     )
 
     metrics = client.get("/metrics")

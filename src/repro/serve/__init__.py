@@ -6,12 +6,15 @@ that exposes the repro engine to concurrent callers:
 * :mod:`repro.serve.batcher` — the coalescing micro-batcher: concurrent
   requests with compatible shapes fuse into one engine dispatch sharing
   the warm process-wide invariant cache;
-* :mod:`repro.serve.protocol` — request parsing, compatibility keys,
-  the shared :class:`ServeState` (interned designs, memoized scenario
-  models), and the fused batch executors;
-* :mod:`repro.serve.server` — the HTTP/1.1 front end
-  (``/evaluate``, ``/mc``, ``/splits``, ``/metrics``, ``/healthz``),
-  backpressure, deadlines, graceful drain;
+* :mod:`repro.serve.protocol` — the request schema (one field function
+  per endpoint), request parsing, compatibility keys, the shared
+  :class:`ServeState` (interned designs, memoized scenario models), and
+  the fused batch executors;
+* :mod:`repro.serve.http` — the one HTTP/1.1 codec and connection loop
+  the worker and the shard router both serve through;
+* :mod:`repro.serve.server` — the worker front end (``/evaluate``,
+  ``/mc``, ``/splits``, ``/scenarios``, ``/metrics``, ``/healthz``,
+  ``/debug/*``), backpressure, deadlines, graceful drain;
 * :mod:`repro.serve.shard` — the prefork worker pool: a parent-side
   sticky router (rendezvous-hashed coalescing groups), zero-copy warm
   caches published through :mod:`repro.engine.shm`, aggregated

@@ -29,7 +29,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..analysis.export import to_jsonable
 from ..cost.model import CostModel
@@ -84,14 +85,8 @@ _NAMED_DESIGNS: Dict[str, Callable[[], ChipDesign]] = {
 }
 
 #: Library factories addressable via ``{"library": ..., "process": ...}``.
+#: All are single-process, so /splits ports the same ones per node.
 _LIBRARY_FACTORIES: Dict[str, Callable[..., ChipDesign]] = {
-    "a11": a11,
-    "zen2-monolithic": zen2_monolithic,
-    "raven": raven_multicore,
-}
-
-#: Single-process factories usable by /splits (ported per node).
-_SPLIT_FACTORIES: Dict[str, Callable[..., ChipDesign]] = {
     "a11": a11,
     "zen2-monolithic": zen2_monolithic,
     "raven": raven_multicore,
@@ -126,8 +121,10 @@ def _require_mapping(body: Any) -> Mapping[str, Any]:
     return body
 
 
-def _finite(value: Any, what: str) -> float:
-    """``float(value)`` for a JSON number, rejecting NaN and +-Infinity."""
+def _real(value: Any, what: str, kind: str = "a number") -> float:
+    """``float(value)`` for a finite JSON number; anything else is a 400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadRequestError(f"{what} must be {kind}, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer too large for a double
@@ -138,21 +135,9 @@ def _finite(value: Any, what: str) -> float:
 
 
 def _number(
-    body: Mapping[str, Any],
-    key: str,
-    default: Optional[float] = None,
-    required: bool = False,
+    body: Mapping[str, Any], key: str, default: Optional[float] = None
 ) -> Optional[float]:
-    if key not in body:
-        if required:
-            raise BadRequestError(f"missing required field {key!r}")
-        return default
-    value = body[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequestError(
-            f"field {key!r} must be a number, got {value!r}"
-        )
-    return _finite(value, f"field {key!r}")
+    return _real(body[key], f"field {key!r}") if key in body else default
 
 
 def _integer(
@@ -188,28 +173,15 @@ def _capacity(body: Mapping[str, Any]) -> Optional[Any]:
     if "capacity" not in body:
         return None
     value = body["capacity"]
-    if isinstance(value, Mapping):
-        out: Dict[str, float] = {}
-        for node, fraction in value.items():
-            if isinstance(fraction, bool) or not isinstance(
-                fraction, (int, float)
-            ):
-                raise BadRequestError(
-                    f"capacity for node {node!r} must be a number, "
-                    f"got {fraction!r}"
-                )
-            out[str(node)] = _finite(
-                fraction, f"capacity for node {node!r}"
-            )
-        if not out:
-            raise BadRequestError("capacity mapping must not be empty")
-        return out
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequestError(
-            f"field 'capacity' must be a number or a node mapping, "
-            f"got {value!r}"
-        )
-    return _finite(value, "field 'capacity'")
+    if not isinstance(value, Mapping):
+        return _real(value, "field 'capacity'", "a number or a node mapping")
+    out = {
+        str(node): _real(fraction, f"capacity for node {node!r}")
+        for node, fraction in value.items()
+    }
+    if not out:
+        raise BadRequestError("capacity mapping must not be empty")
+    return out
 
 
 def _metrics(body: Mapping[str, Any]) -> Tuple[str, ...]:
@@ -229,6 +201,88 @@ def _metrics(body: Mapping[str, Any]) -> Tuple[str, ...]:
         if name not in metrics:
             metrics.append(name)
     return tuple(metrics)
+
+
+def _scenario(body: Mapping[str, Any]) -> str:
+    """The named market scenario (default ``nominal``), checked by name."""
+    scenario = str(body.get("scenario", "nominal"))
+    if scenario not in scenarios.SCENARIOS:
+        raise BadRequestError(
+            f"unknown scenario {scenario!r}; "
+            f"choose from {sorted(scenarios.SCENARIOS)}"
+        )
+    return scenario
+
+
+def _n_chips(body: Mapping[str, Any]) -> float:
+    n_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
+    if n_chips <= 0:  # type: ignore[operator]
+        raise BadRequestError(f"'n_chips' must be positive, got {n_chips}")
+    return n_chips  # type: ignore[return-value]
+
+
+def _study_fields(
+    body: Mapping[str, Any], antithetic: bool = False
+) -> Dict[str, Any]:
+    """The sampling block /mc and /scenarios share: samples, seed, the
+    supply-spec knobs and ``with_cost``. ``antithetic`` also reads the
+    /scenarios ``correlated`` flag, which needs an even sample count."""
+    samples = _integer(body, "samples", 1024)
+    if samples <= 0:
+        raise BadRequestError(f"'samples' must be positive, got {samples}")
+    fields: Dict[str, Any] = {"samples": samples}
+    if antithetic:
+        correlated = _boolean(body, "correlated", False)
+        if correlated and samples % 2:
+            raise BadRequestError(
+                "correlated sampling is antithetic and needs an even "
+                f"'samples', got {samples}"
+            )
+        fields["correlated"] = correlated
+    fields["seed"] = _seed(body)
+    fields["spec_knobs"] = {
+        "n_chips": _n_chips(body),
+        "variation": _number(body, "variation", 0.1),
+        "queue_weeks": _number(body, "queue_weeks", 2.0),
+        "capacity": _number(body, "capacity", 0.9),
+    }
+    fields["with_cost"] = _boolean(body, "with_cost", True)
+    return fields
+
+
+def split_factory(spec: Any) -> Tuple[str, Callable[[str], ChipDesign]]:
+    """The (label, node -> design) factory of one /splits design spec.
+
+    The label is the design's part of the /splits group key; the shard
+    router routes on the same label.
+    """
+    if isinstance(spec, str):
+        name, extra = spec, {}
+    else:
+        mapping = _require_mapping(spec)
+        name = mapping.get("library")
+        extra = {key: mapping[key] for key in mapping if key != "library"}
+        unknown = set(extra) - {"cores"}
+        if unknown:
+            raise BadRequestError(
+                f"unknown split-design keys {sorted(unknown)}"
+            )
+    factory = (
+        _LIBRARY_FACTORIES.get(name) if isinstance(name, str) else None
+    )
+    if factory is None:
+        raise BadRequestError(
+            f"split designs must name a single-process library "
+            f"({sorted(_LIBRARY_FACTORIES)}), got {name!r}"
+        )
+    if "cores" in extra:
+        if name != "raven":
+            raise BadRequestError(
+                "'cores' only applies to the 'raven' library"
+            )
+        cores = _integer(extra, "cores", 16)
+        return f"{name}:{cores}", partial(factory, cores=cores)
+    return name, factory
 
 
 @dataclass(frozen=True)
@@ -323,15 +377,10 @@ class ServeState:
         """The memoized TTM model under one named market scenario."""
         model = self._models.get(scenario)
         if model is None:
-            try:
-                conditions = scenarios.by_name(scenario)
-            except KeyError:
-                raise BadRequestError(
-                    f"unknown scenario {scenario!r}; "
-                    f"choose from {sorted(scenarios.SCENARIOS)}"
-                ) from None
             model = self._base_model.with_foundry(
-                self._base_model.foundry.with_conditions(conditions)
+                self._base_model.foundry.with_conditions(
+                    scenarios.by_name(scenario)
+                )
             )
             self._models[scenario] = model
         return model
@@ -366,7 +415,11 @@ class ServeState:
         spec = _require_mapping(spec)
         if "library" in spec:
             library = spec["library"]
-            factory = _LIBRARY_FACTORIES.get(library)
+            factory = (
+                _LIBRARY_FACTORIES.get(library)
+                if isinstance(library, str)
+                else None
+            )
             if factory is None:
                 raise BadRequestError(
                     f"unknown design library {library!r}; "
@@ -403,40 +456,6 @@ class ServeState:
             "design must be a known name, a {'library': ...} reference, "
             "or an inline design object with 'dies'"
         )
-
-    def split_factory(self, spec: Any) -> Tuple[str, Callable[[str], ChipDesign]]:
-        """A (label, node -> design) factory for the /splits endpoint."""
-        if isinstance(spec, str):
-            name, extra = spec, {}
-        else:
-            mapping = _require_mapping(spec)
-            name = mapping.get("library")
-            extra = {
-                key: mapping[key] for key in mapping if key != "library"
-            }
-            unknown = set(extra) - {"cores"}
-            if unknown:
-                raise BadRequestError(
-                    f"unknown split-design keys {sorted(unknown)}"
-                )
-        factory = _SPLIT_FACTORIES.get(name)  # type: ignore[arg-type]
-        if factory is None:
-            raise BadRequestError(
-                f"split designs must name a single-process library "
-                f"({sorted(_SPLIT_FACTORIES)}), got {name!r}"
-            )
-        if "cores" in extra:
-            if name != "raven":
-                raise BadRequestError(
-                    "'cores' only applies to the 'raven' library"
-                )
-            cores = extra["cores"]
-            if isinstance(cores, bool) or not isinstance(cores, int):
-                raise BadRequestError(
-                    f"field 'cores' must be an integer, got {cores!r}"
-                )
-            return f"{name}:{cores}", partial(factory, cores=cores)
-        return str(name), factory
 
 
 def build_warm_bundle(state: Optional[ServeState] = None) -> WarmBundle:
@@ -483,31 +502,117 @@ def build_warm_bundle(state: Optional[ServeState] = None) -> WarmBundle:
     )
 
 
+# -- the request schema: one design-free field function per endpoint ---------
+
+
+def normalize_stress_selector(value: Any) -> Tuple[str, ...]:
+    """Normalize a /scenarios ``scenarios`` field to a selector tuple."""
+    if value is None:
+        return ("all",)
+    if isinstance(value, str):
+        return (value,)
+    if isinstance(value, (list, tuple)) and value and all(
+        isinstance(item, str) for item in value
+    ):
+        return tuple(value)
+    raise BadRequestError(
+        "field 'scenarios' must be a selector string or a non-empty "
+        f"list of selector strings, got {value!r}"
+    )
+
+
+def evaluate_fields(body: Any) -> Dict[str, Any]:
+    """Every /evaluate field but the design: typed, finite, defaulted."""
+    body = _require_mapping(body)
+    return {
+        "scenario": _scenario(body),
+        "n_chips": _n_chips(body),
+        "capacity": _capacity(body),
+        "queue_weeks": _number(body, "queue_weeks"),
+        "d0_scale": _number(body, "d0_scale"),
+        "wafer_rate_scale": _number(body, "wafer_rate_scale"),
+        "metrics": _metrics(body),
+    }
+
+
+def mc_fields(body: Any) -> Dict[str, Any]:
+    """Every /mc field but the design: typed, finite, defaulted."""
+    body = _require_mapping(body)
+    return {"scenario": _scenario(body), **_study_fields(body)}
+
+
+def scenarios_fields(body: Any) -> Dict[str, Any]:
+    """Every /scenarios field but the design: typed, finite, defaulted.
+
+    The stress selector is normalized here and resolved by
+    :func:`parse_scenarios`.
+    """
+    body = _require_mapping(body)
+    return {
+        "scenario": _scenario(body),
+        "selector": normalize_stress_selector(body.get("scenarios")),
+        **_study_fields(body, antithetic=True),
+    }
+
+
+def splits_fields(body: Any) -> Dict[str, Any]:
+    """Every /splits field, its design label and factory included."""
+    body = _require_mapping(body)
+    pairs_raw = body.get("pairs")
+    if not isinstance(pairs_raw, (list, tuple)) or not pairs_raw:
+        raise BadRequestError(
+            "field 'pairs' must be a non-empty list of [primary, secondary] "
+            "node pairs"
+        )
+    pairs: List[Tuple[str, str]] = []
+    for item in pairs_raw:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise BadRequestError(
+                f"each pair must be a [primary, secondary] list, got {item!r}"
+            )
+        pairs.append((str(item[0]), str(item[1])))
+    label, factory = split_factory(body.get("design", "a11"))
+    return {
+        "pairs": pairs,
+        "design_label": label,
+        "factory": factory,
+        "scenario": _scenario(body),
+        "n_chips": _n_chips(body),
+        "refine": _boolean(body, "refine", False),
+        "with_cas": _boolean(body, "with_cas", True),
+    }
+
+
+#: The request schema: endpoint -> field function. The worker's parsers
+#: and the shard router's ``routing_key`` both read it, so validation,
+#: defaults and the group/routing keys cannot drift apart.
+REQUEST_FIELDS: Dict[str, Callable[[Any], Dict[str, Any]]] = {
+    "evaluate": evaluate_fields,
+    "mc": mc_fields,
+    "splits": splits_fields,
+    "scenarios": scenarios_fields,
+}
+
+
 # -- parsing: body -> (group key, payload) ------------------------------------
+
+
+def _design(state: ServeState, body: Any) -> ChipDesign:
+    """Resolve a body's required ``design`` (parsers do this first)."""
+    body = _require_mapping(body)
+    if "design" not in body:
+        raise BadRequestError("missing required field 'design'")
+    return state.resolve_design(body["design"])
 
 
 def parse_evaluate(
     state: ServeState, body: Any
 ) -> Tuple[Hashable, Dict[str, Any]]:
     """Parse one /evaluate body into its batcher (key, payload)."""
-    body = _require_mapping(body)
-    if "design" not in body:
-        raise BadRequestError("missing required field 'design'")
-    design = state.resolve_design(body["design"])
-    scenario = str(body.get("scenario", "nominal"))
-    state.model_for(scenario)  # validate the scenario before queueing
-    n_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    if n_chips <= 0:  # type: ignore[operator]
-        raise BadRequestError(f"'n_chips' must be positive, got {n_chips}")
-    request = PointRequest(
-        design=design,
-        n_chips=n_chips,  # type: ignore[arg-type]
-        capacity=_capacity(body),
-        queue_weeks=_number(body, "queue_weeks"),
-        d0_scale=_number(body, "d0_scale"),
-        wafer_rate_scale=_number(body, "wafer_rate_scale"),
-        metrics=_metrics(body),
-    )
+    design = _design(state, body)
+    fields = evaluate_fields(body)
+    scenario = fields.pop("scenario")
+    request = PointRequest(design=design, **fields)
     key = ("evaluate", scenario, point_signature(request))
     payload = {
         "request": request,
@@ -527,44 +632,17 @@ def parse_mc(
     studies differ only along the design axis, which is exactly what
     ``compare_designs`` fuses with common random numbers.
     """
-    body = _require_mapping(body)
-    if "design" not in body:
-        raise BadRequestError("missing required field 'design'")
-    design = state.resolve_design(body["design"])
-    scenario = str(body.get("scenario", "nominal"))
-    state.model_for(scenario)
-    samples = _integer(body, "samples", 1024)
-    if samples <= 0:
-        raise BadRequestError(f"'samples' must be positive, got {samples}")
-    seed = _seed(body)
-    mc_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    if mc_chips <= 0:  # type: ignore[operator]
-        raise BadRequestError(f"'n_chips' must be positive, got {mc_chips}")
-    spec_knobs = {
-        "n_chips": mc_chips,
-        "variation": _number(body, "variation", 0.1),
-        "queue_weeks": _number(body, "queue_weeks", 2.0),
-        "capacity": _number(body, "capacity", 0.9),
-    }
-    with_cost = _boolean(body, "with_cost", True)
+    design = _design(state, body)
+    fields = mc_fields(body)
     key = (
         "mc",
-        scenario,
-        samples,
-        seed,
-        with_cost,
-        canonical_json(spec_knobs),
+        fields["scenario"],
+        fields["samples"],
+        fields["seed"],
+        fields["with_cost"],
+        canonical_json(fields["spec_knobs"]),
     )
-    payload = {
-        "design": design,
-        "scenario": scenario,
-        "samples": samples,
-        "seed": seed,
-        "with_cost": with_cost,
-        "spec_knobs": spec_knobs,
-        "design_name": design.name,
-    }
-    return key, payload
+    return key, {**fields, "design": design, "design_name": design.name}
 
 
 def parse_splits(
@@ -576,66 +654,16 @@ def parse_splits(
     single-flight deduplication: the group key is the canonical body,
     and every member of a group receives the one shared evaluation.
     """
-    body = _require_mapping(body)
-    pairs_raw = body.get("pairs")
-    if not isinstance(pairs_raw, (list, tuple)) or not pairs_raw:
-        raise BadRequestError(
-            "field 'pairs' must be a non-empty list of [primary, secondary] "
-            "node pairs"
-        )
-    pairs: List[Tuple[str, str]] = []
-    for item in pairs_raw:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise BadRequestError(
-                f"each pair must be a [primary, secondary] list, got {item!r}"
-            )
-        pairs.append((str(item[0]), str(item[1])))
-    label, factory = state.split_factory(body.get("design", "a11"))
-    scenario = str(body.get("scenario", "nominal"))
-    state.model_for(scenario)
-    n_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    refine = _boolean(body, "refine", False)
-    with_cas = _boolean(body, "with_cas", True)
+    fields = splits_fields(body)
     normalized = {
-        "pairs": [list(pair) for pair in pairs],
-        "design": label,
-        "scenario": scenario,
-        "n_chips": n_chips,
-        "refine": refine,
-        "with_cas": with_cas,
+        "pairs": [list(pair) for pair in fields["pairs"]],
+        "design": fields["design_label"],
+        "scenario": fields["scenario"],
+        "n_chips": fields["n_chips"],
+        "refine": fields["refine"],
+        "with_cas": fields["with_cas"],
     }
-    key = ("splits", canonical_json(normalized))
-    payload = {
-        "pairs": pairs,
-        "factory": factory,
-        "scenario": scenario,
-        "n_chips": n_chips,
-        "refine": refine,
-        "with_cas": with_cas,
-        "design_label": label,
-    }
-    return key, payload
-
-
-def normalize_stress_selector(value: Any) -> Tuple[str, ...]:
-    """Normalize a /scenarios ``scenarios`` field to a selector tuple.
-
-    Shared with the shard router's :func:`~repro.serve.shard.routing_key`
-    (which must not resolve or validate), so the batcher group key and
-    the routing key agree on the selector's canonical spelling.
-    """
-    if value is None:
-        return ("all",)
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, (list, tuple)) and value and all(
-        isinstance(item, str) for item in value
-    ):
-        return tuple(value)
-    raise BadRequestError(
-        "field 'scenarios' must be a selector string or a non-empty "
-        f"list of selector strings, got {value!r}"
-    )
+    return ("splits", canonical_json(normalized)), fields
 
 
 def parse_scenarios(
@@ -651,57 +679,26 @@ def parse_scenarios(
     The per-request ``seed`` lives in the key: requests with different
     seeds never share a batch.
     """
-    body = _require_mapping(body)
-    if "design" not in body:
-        raise BadRequestError("missing required field 'design'")
-    design = state.resolve_design(body["design"])
-    scenario = str(body.get("scenario", "nominal"))
-    state.model_for(scenario)
-    selector = normalize_stress_selector(body.get("scenarios"))
+    design = _design(state, body)
+    fields = scenarios_fields(body)
     try:
-        stress_set = stress_scenarios(selector)
+        stress_set = stress_scenarios(fields["selector"])
     except ReproError as error:
         raise BadRequestError(str(error)) from None
-    samples = _integer(body, "samples", 1024)
-    if samples <= 0:
-        raise BadRequestError(f"'samples' must be positive, got {samples}")
-    correlated = _boolean(body, "correlated", False)
-    if correlated and samples % 2:
-        raise BadRequestError(
-            "correlated sampling is antithetic and needs an even "
-            f"'samples', got {samples}"
-        )
-    seed = _seed(body)
-    mc_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    if mc_chips <= 0:  # type: ignore[operator]
-        raise BadRequestError(f"'n_chips' must be positive, got {mc_chips}")
-    spec_knobs = {
-        "n_chips": mc_chips,
-        "variation": _number(body, "variation", 0.1),
-        "queue_weeks": _number(body, "queue_weeks", 2.0),
-        "capacity": _number(body, "capacity", 0.9),
-    }
-    with_cost = _boolean(body, "with_cost", True)
     key = (
         "scenarios",
-        scenario,
-        selector,
-        samples,
-        seed,
-        with_cost,
-        correlated,
-        canonical_json(spec_knobs),
+        fields["scenario"],
+        fields["selector"],
+        fields["samples"],
+        fields["seed"],
+        fields["with_cost"],
+        fields["correlated"],
+        canonical_json(fields["spec_knobs"]),
     )
     payload = {
-        "design": design,
-        "scenario": scenario,
-        "selector": selector,
+        **fields,
         "stress_set": stress_set,
-        "samples": samples,
-        "seed": seed,
-        "with_cost": with_cost,
-        "correlated": correlated,
-        "spec_knobs": spec_knobs,
+        "design": design,
         "design_name": design.name,
     }
     return key, payload
@@ -970,21 +967,27 @@ __all__ = [
     "BadRequestError",
     "DEFAULT_N_CHIPS",
     "DESIGN_CACHE_LIMIT",
+    "REQUEST_FIELDS",
     "ServeState",
     "WarmBundle",
     "build_warm_bundle",
     "canonical_json",
     "endpoint_of",
     "error_body",
+    "evaluate_fields",
     "execute_batch",
     "execute_evaluate",
     "execute_mc",
     "execute_scenarios",
     "execute_splits",
+    "mc_fields",
     "normalize_stress_selector",
     "parse_evaluate",
     "parse_mc",
     "parse_request",
     "parse_scenarios",
     "parse_splits",
+    "scenarios_fields",
+    "split_factory",
+    "splits_fields",
 ]

@@ -1,9 +1,8 @@
 """The asyncio HTTP/JSON evaluation server (hand-rolled, stdlib-only).
 
-A deliberately small HTTP/1.1 implementation on
-``asyncio.start_server`` — request line, headers, ``Content-Length``
-bodies, keep-alive — because the service needs exactly six routes and
-zero heavy dependencies:
+Served on ``asyncio.start_server`` through the small HTTP/1.1 codec in
+:mod:`repro.serve.http` (shared with the shard router), because the
+service needs exactly eight routes and zero heavy dependencies:
 
 ============  ============  ==============================================
 method        path          behavior
@@ -28,11 +27,12 @@ headers and the inbound ``traceparent`` context
 (:mod:`repro.obs.distributed`) never touch a body, so coalesced
 responses stay byte-identical to solo ones with tracing enabled.
 
-Failure paths: malformed JSON → 400, unknown route → 404, wrong method
-→ 405, oversized body → 413, admission-queue overflow → 429 with
-``Retry-After``, draining → 503, per-request deadline (the
-``X-Deadline-Ms`` header, or the server default) → 504. Every error
-carries a structured ``{"error": {"code", "message"}}`` body.
+Failure paths: malformed request or JSON → 400, unknown route → 404,
+wrong method → 405, oversized body → 413, admission-queue overflow → 429
+with ``Retry-After``, draining → 503, per-request deadline (the
+``X-Deadline-Ms`` header, or the server default) → 504, any other
+handler failure → 500. Every error carries a structured
+``{"error": {"code", "message"}}`` body.
 
 :class:`ServerThread` wraps the server in a background thread with its
 own event loop for tests, benchmarks, and in-process smoke runs.
@@ -46,7 +46,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from ..errors import ReproError
 from ..obs import instrument
@@ -69,8 +69,8 @@ from ..obs.trace import (
     uninstall_tracer,
 )
 from .batcher import CoalescingBatcher, QueueFullError, ServerClosingError
+from .http import FrontEndThread, HttpFrontEnd, Reply, Request, route_error
 from .protocol import (
-    BATCHED_ENDPOINTS,
     BadRequestError,
     ServeState,
     canonical_json,
@@ -79,18 +79,6 @@ from .protocol import (
     execute_batch,
     parse_request,
 )
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ class ServerConfig:
 _TRACE_SPAN_LIMIT = 20_000
 
 
-class EvalServer:
+class EvalServer(HttpFrontEnd):
     """The evaluation service: batcher + HTTP front end on one loop."""
 
     def __init__(
@@ -177,6 +165,7 @@ class EvalServer:
             ),
         )
         self._in_flight: Dict[str, Dict[str, Any]] = {}
+        self._max_body_bytes = self.config.max_body_bytes
         self._profiler: Optional[SamplingProfiler] = None
         self._installed_tracer: Optional[Tracer] = None
 
@@ -218,14 +207,7 @@ class EvalServer:
             self._server.close()
         if self.batcher is not None:
             await self.batcher.drain()
-        if self._connections:
-            done, pending = await asyncio.wait(
-                set(self._connections), timeout=2.0
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
+        await self._close_connections()
         if self._server is not None:
             await self._server.wait_closed()
         if self._profiler is not None:
@@ -248,111 +230,7 @@ class EvalServer:
     def draining(self) -> bool:
         return self._draining
 
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections[task] = None
-        try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive or self._draining:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            if task is not None:
-                self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Serve one request; returns whether to keep the connection."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            await self._respond(
-                writer, 400, error_body("invalid_request", "headers too large")
-            )
-            return False
-        started = time.perf_counter()
-        started_ns = time.time_ns()
-        try:
-            method, path, headers = _parse_head(head)
-        except ValueError as error:
-            await self._respond(
-                writer, 400, error_body("invalid_request", str(error))
-            )
-            return False
-        path = path.split("?", 1)[0]
-        endpoint = path.lstrip("/") or "root"
-        obs = self._admit(endpoint, headers)
-
-        body = b""
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            self._in_flight.pop(obs["request_id"], None)
-            await self._respond(
-                writer,
-                400,
-                error_body("invalid_request", "bad Content-Length header"),
-            )
-            return False
-        if length > self.config.max_body_bytes:
-            await self._respond(
-                writer,
-                413,
-                error_body(
-                    "payload_too_large",
-                    f"body of {length} bytes exceeds the "
-                    f"{self.config.max_body_bytes}-byte limit",
-                ),
-                close=True,
-            )
-            self._finish(endpoint, 413, started, started_ns, 0, obs)
-            return False
-        if length:
-            body = await reader.readexactly(length)
-
-        status, payload, extra = await self._route(
-            method, path, headers, body, obs
-        )
-        extra = dict(extra)
-        extra.setdefault("X-Request-Id", obs["request_id"])
-        ctx: Optional[TraceContext] = obs["ctx"]
-        if ctx is not None:
-            extra.setdefault("X-Trace-Id", ctx.trace_id)
-        keep = (
-            headers.get("connection", "").lower() != "close"
-            and not self._draining
-            and status != 503
-        )
-        if not keep:
-            extra["Connection"] = "close"
-        await self._respond(
-            writer,
-            status,
-            payload,
-            content_type=extra.pop("Content-Type", "application/json"),
-            headers=extra,
-            close=not keep,
-        )
-        batch_size = int(extra.get("X-Batch-Size", 0) or 0)
-        self._finish(endpoint, status, started, started_ns, batch_size, obs)
-        return keep
+    # -- per-request identity and accounting ----------------------------------
 
     def _admit(self, endpoint: str, headers: Dict[str, str]) -> Dict[str, Any]:
         """Mint/parse per-request observability identity.
@@ -387,25 +265,22 @@ class EvalServer:
         }
         return obs
 
-    def _finish(
-        self,
-        endpoint: str,
-        status: int,
-        started: float,
-        started_ns: int,
-        batch_size: int,
-        obs: Optional[Dict[str, Any]] = None,
+    def _request_done(
+        self, request: Request, status: int, headers: Mapping[str, str]
     ) -> None:
-        """Per-request accounting: metrics + SLO always, a structured
-        log record always (ring; file when configured), a span when
-        tracing."""
-        elapsed = time.perf_counter() - started
+        """Per-request accounting once the response is written: metrics +
+        SLO always, a structured log record always (ring; file when
+        configured), a span when tracing."""
+        endpoint = request.path.lstrip("/") or "root"
+        elapsed = time.perf_counter() - request.started
+        batch_size = int(headers.get("X-Batch-Size", 0) or 0)
         instrument.record_request(endpoint, status, elapsed)
         self.slo.observe(endpoint, status, elapsed)
 
         request_id = trace_id = ""
         ctx: Optional[TraceContext] = None
         meta: Dict[str, Any] = {}
+        obs: Optional[Dict[str, Any]] = request.context.get("obs")
         if obs is not None:
             self._in_flight.pop(obs["request_id"], None)
             request_id = obs["request_id"]
@@ -462,7 +337,7 @@ class EvalServer:
                     name="serve.request",
                     span_id=tracer._next_id(),
                     parent_id=None,
-                    start_unix_ns=started_ns,
+                    start_unix_ns=request.started_ns,
                     duration_ns=int(elapsed * 1e9),
                     cpu_ns=0,
                     thread_id=threading.get_ident(),
@@ -475,17 +350,22 @@ class EvalServer:
 
     # -- routing ---------------------------------------------------------------
 
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        obs: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+    async def _route(self, request: Request) -> Reply:
+        endpoint = request.path.lstrip("/") or "root"
+        obs = request.context["obs"] = self._admit(endpoint, request.headers)
+        status, payload, headers = route_error(request) or await self._answer(
+            request, obs
+        )
+        headers.setdefault("X-Request-Id", obs["request_id"])
+        ctx: Optional[TraceContext] = obs["ctx"]
+        if ctx is not None:
+            headers.setdefault("X-Trace-Id", ctx.trace_id)
+        return status, payload, headers
+
+    async def _answer(self, request: Request, obs: Dict[str, Any]) -> Reply:
+        """One routed request whose method :func:`route_error` passed."""
+        path = request.path
         if path == "/healthz":
-            if method != "GET":
-                return _method_not_allowed("GET")
             health: Dict[str, Any] = {
                 "status": "draining" if self._draining else "ok"
             }
@@ -497,8 +377,6 @@ class EvalServer:
                 )
             return 200, canonical_json(health), {}
         if path == "/metrics":
-            if method != "GET":
-                return _method_not_allowed("GET")
             # Burn-rate gauges refresh at scrape time: idle servers pay
             # nothing between scrapes.
             self.slo.publish()
@@ -509,12 +387,8 @@ class EvalServer:
                 {"Content-Type": "text/plain; version=0.0.4"},
             )
         if path == "/debug/obs":
-            if method != "GET":
-                return _method_not_allowed("GET")
             return 200, canonical_json(self.obs_snapshot()), {}
         if path == "/debug/trace":
-            if method != "GET":
-                return _method_not_allowed("GET")
             tracer = current_tracer()
             data: Dict[str, Any] = (
                 tracer.to_jsonable()
@@ -524,16 +398,7 @@ class EvalServer:
             data["pid"] = os.getpid()
             data["worker"] = self.config.worker_id
             return 200, canonical_json(data), {}
-        endpoint = path.lstrip("/")
-        if endpoint in BATCHED_ENDPOINTS:
-            if method != "POST":
-                return _method_not_allowed("POST")
-            return await self._handle_batched(endpoint, headers, body, obs)
-        return (
-            404,
-            error_body("not_found", f"no route for {path!r}"),
-            {},
-        )
+        return await self._handle_batched(path[1:], request, obs)
 
     def obs_snapshot(self) -> Dict[str, Any]:
         """The live ops view behind ``GET /debug/obs``."""
@@ -569,15 +434,11 @@ class EvalServer:
         }
 
     async def _handle_batched(
-        self,
-        endpoint: str,
-        headers: Dict[str, str],
-        body: bytes,
-        obs: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+        self, endpoint: str, request: Request, obs: Dict[str, Any]
+    ) -> Reply:
         try:
-            parsed = json.loads(body)
-        except ValueError as error:
+            parsed = json.loads(request.body)
+        except (ValueError, RecursionError) as error:
             return (
                 400,
                 error_body("invalid_json", f"body is not valid JSON: {error}"),
@@ -589,7 +450,7 @@ class EvalServer:
             return 400, error_body(error.code, str(error)), {}
 
         deadline_ms = self.config.deadline_ms
-        header_deadline = headers.get("x-deadline-ms")
+        header_deadline = request.headers.get("x-deadline-ms")
         if header_deadline is not None:
             try:
                 deadline_ms = float(header_deadline)
@@ -606,9 +467,7 @@ class EvalServer:
 
         assert self.batcher is not None
         try:
-            future = self.batcher.enqueue(
-                key, payload, meta=obs["meta"] if obs is not None else None
-            )
+            future = self.batcher.enqueue(key, payload, meta=obs["meta"])
         except QueueFullError as error:
             retry_after = max(1, int(self.config.batch_window_ms / 1000.0) + 1)
             return (
@@ -654,83 +513,6 @@ class EvalServer:
             canonical_json(result),
             {"X-Batch-Size": str(batch_size)},
         )
-
-    # -- response writing ------------------------------------------------------
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: bytes,
-        content_type: str = "application/json",
-        headers: Optional[Dict[str, str]] = None,
-        close: bool = False,
-    ) -> None:
-        lines = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
-        ]
-        for name, value in (headers or {}).items():
-            if name not in ("Content-Type",):
-                lines.append(f"{name}: {value}")
-        if close and "Connection" not in (headers or {}):
-            lines.append("Connection: close")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + payload)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    # -- blocking entry point (CLI) --------------------------------------------
-
-    def run_forever(
-        self,
-        stop_event: Optional[threading.Event] = None,
-        ready: Optional[Any] = None,
-    ) -> None:
-        """Serve until SIGINT/SIGTERM (or ``stop_event``), then drain.
-
-        ``ready`` is called with ``(host, port)`` once the socket is
-        bound — the CLI uses it to announce the ephemeral port.
-        """
-
-        async def _main() -> None:
-            await self.start()
-            if ready is not None:
-                ready(self.host, self.port)
-            loop = asyncio.get_running_loop()
-            stopper: asyncio.Future = loop.create_future()
-
-            def _request_stop() -> None:
-                if not stopper.done():
-                    stopper.set_result(None)
-
-            import signal
-
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, _request_stop)
-                except (NotImplementedError, RuntimeError):
-                    pass
-            waiter = None
-            if stop_event is not None:
-                waiter = loop.run_in_executor(None, stop_event.wait)
-                waiter.add_done_callback(lambda _: _request_stop())
-            try:
-                await stopper
-            finally:
-                await self.stop()
-                if waiter is not None and stop_event is not None:
-                    stop_event.set()
-                    await waiter
-
-        try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:
-            pass
-
 
 def _outcome(status: int) -> str:
     """Log-record outcome classification for one response status."""
@@ -779,44 +561,8 @@ def _latency_breakdown(
     }
 
 
-def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
-    """(method, path, lower-cased headers) from one request head."""
-    try:
-        text = head.decode("latin-1")
-    except UnicodeDecodeError as error:  # pragma: no cover - latin-1 total
-        raise ValueError(f"undecodable request head: {error}") from None
-    lines = text.split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise ValueError(f"malformed request line {lines[0]!r}")
-    method, path, _version = parts
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        if ":" not in line:
-            raise ValueError(f"malformed header line {line!r}")
-        name, value = line.split(":", 1)
-        headers[name.strip().lower()] = value.strip()
-    return method.upper(), path, headers
-
-
-def _method_not_allowed(allow: str) -> Tuple[int, bytes, Dict[str, str]]:
-    return (
-        405,
-        error_body("method_not_allowed", f"use {allow}"),
-        {"Allow": allow},
-    )
-
-
-class ServerThread:
-    """An :class:`EvalServer` on a dedicated thread + event loop.
-
-    The in-process harness used by tests, benchmarks, and the smoke
-    client: ``start()`` blocks until the ephemeral port is bound,
-    ``stop()`` drains gracefully and joins the thread. Usable as a
-    context manager.
-    """
+class ServerThread(FrontEndThread):
+    """An :class:`EvalServer` on a dedicated thread + event loop."""
 
     def __init__(
         self,
@@ -824,78 +570,7 @@ class ServerThread:
         state: Optional[ServeState] = None,
     ) -> None:
         self.server = EvalServer(config=config, state=state)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._stopped = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def address(self) -> str:
-        return f"{self.server.host}:{self.server.port}"
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="serve-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=30.0)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "server failed to start"
-            ) from self._startup_error
-        if not self._ready.is_set():
-            raise RuntimeError("server did not start within 30 s")
-        return self
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            loop = asyncio.get_running_loop()
-            self._loop = loop
-            self._stop_future: asyncio.Future = loop.create_future()
-            try:
-                await self.server.start()
-            except BaseException as error:
-                self._startup_error = error
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop_future
-            await self.server.stop()
-
-        asyncio.run(_main())
-        self._stopped.set()
-
-    def stop(self) -> None:
-        """Drain and shut down; safe to call from any thread, once."""
-        loop = self._loop
-        if loop is None or self._stopped.is_set():
-            return
-
-        def _request() -> None:
-            if not self._stop_future.done():
-                self._stop_future.set_result(None)
-
-        try:
-            loop.call_soon_threadsafe(_request)
-        except RuntimeError:  # loop already closed
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        super().__init__(self.server, "server")
 
 
 __all__ = [
