@@ -92,9 +92,10 @@ def knob_signature(
     """The supply-knob shape key shared by :func:`point_signature` and
     the shard router.
 
-    Computable from raw values (the router derives it straight from the
-    JSON body, without resolving designs or validating scenarios), and
-    guaranteed consistent with :func:`point_signature`: two requests the
+    Computable without a resolved design (the router passes the knob
+    values the protocol's per-endpoint field functions have already
+    validated and defaulted, without resolving designs or scenarios),
+    and guaranteed consistent with :func:`point_signature`: two requests the
     batcher would group together always produce equal knob signatures,
     so a sticky router hashing this key keeps every coalescing group on
     one worker. The capacity node set is carried as a frozenset, so node

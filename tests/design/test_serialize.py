@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,6 +143,31 @@ class TestFormat:
         data["dies"][0]["blocks"][0]["unique_transistors"] = 1e30
         with pytest.raises(InvalidDesignError):
             design_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "die",
+        [{}, {"name": "d"}, {"name": "d", "process": 7}, {"name": ["d"]}],
+    )
+    def test_missing_or_ill_typed_die_keys_rejected(self, die):
+        with pytest.raises(InvalidDesignError):
+            design_from_dict({"name": "x", "dies": [die]})
+
+    @pytest.mark.parametrize("count", [True, 2.5, "2", float("nan")])
+    def test_non_whole_counts_rejected(self, count):
+        die = {"name": "d", "process": "7nm", "count": count}
+        with pytest.raises(InvalidDesignError, match="count"):
+            design_from_dict({"name": "x", "dies": [die]})
+
+    def test_tuples_and_numpy_scalars_accepted(self):
+        """In-process callers may pass tuples and numpy numbers."""
+        data = design_to_dict(_full_design())
+        compute = data["dies"][0]
+        compute["count"] = np.int64(compute.get("count", 1))
+        compute["blocks"] = tuple(compute["blocks"])
+        compute["blocks"][0]["instances"] = np.int32(8)
+        compute["blocks"][0]["transistors"] = np.float64(4e8)
+        data["dies"] = tuple(data["dies"])
+        assert design_from_dict(data) == _full_design()
 
     def test_die_round_trip_standalone(self):
         die = _full_design().dies[0]
