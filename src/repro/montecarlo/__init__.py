@@ -28,6 +28,7 @@ from .results import (
     ExceedanceCurve,
     MetricSummary,
     StudyResult,
+    summarize_block,
     summarize_metrics,
 )
 from .sampling import (
@@ -107,4 +108,5 @@ __all__ = [
     "sample_factor_matrix",
     "sample_uniforms",
     "stress_scenarios",
+    "summarize_block",
 ]

@@ -12,7 +12,11 @@ designs — never sampling noise.
 Parallelism chunks over the *scenario* axis (the outermost, largest
 grain of the cube): each work item evaluates a contiguous
 :meth:`~repro.engine.scenario.ScenarioSet.subset` against the shared
-base draw. Chunks are pure functions of their inputs, so results are
+base draw and reduces its cube to per-cell summaries with
+:func:`~repro.montecarlo.results.summarize_block` before returning, so
+the full cube is never built: memory is bounded by one chunk per
+worker, and ``chunk_scenarios`` is both the parallel grain and that
+bound. Chunks are pure functions of their inputs, so results are
 bit-for-bit identical across the serial, thread, and process executors
 and across chunk sizes. On the process path the compiled portfolio
 rides along as a shared-memory
@@ -22,6 +26,7 @@ instead of recompiling designs per chunk.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -44,47 +49,17 @@ from ..obs.trace import span
 from ..ttm.model import TTMModel
 from .results import (
     DEFAULT_TAIL_LEVEL,
-    TAILS,
     ExceedanceCurve,
     MetricSummary,
     StudyResult,
+    conditional_value_at_risk,
+    summarize_cells,
 )
 from .spec import SamplingSpec
 from .study import METRIC_TAILS, chunk_sizes
 
 #: Scenarios evaluated per parallel work item (outermost-axis grain).
 DEFAULT_CHUNK_SCENARIOS = 8
-
-
-def conditional_value_at_risk(
-    samples: np.ndarray,
-    level: float = DEFAULT_TAIL_LEVEL,
-    tail: str = "upper",
-) -> float:
-    """Mean of the worst ``1 - level`` tail of a sample.
-
-    ``tail="upper"`` averages the samples at or above the ``level``
-    quantile (risk = large values, e.g. TTM weeks); ``tail="lower"``
-    averages those at or below the ``1 - level`` quantile (risk = small
-    values, e.g. agility collapsing). Matches the CVaR reported by
-    :class:`~repro.montecarlo.results.MetricSummary` exactly.
-    """
-    values = np.asarray(samples, dtype=float).ravel()
-    if values.size == 0:
-        raise InvalidParameterError("CVaR needs at least one sample")
-    if tail not in TAILS:
-        raise InvalidParameterError(
-            f"tail must be one of {TAILS}, got {tail!r}"
-        )
-    if not 0.5 < level < 1.0:
-        raise InvalidParameterError(
-            f"tail level must be in (0.5, 1), got {level}"
-        )
-    if tail == "upper":
-        var = float(np.percentile(values, 100.0 * level))
-        return float(np.mean(values[values >= var]))
-    var = float(np.percentile(values, 100.0 * (1.0 - level)))
-    return float(np.mean(values[values <= var]))
 
 
 @dataclass(frozen=True)
@@ -104,17 +79,30 @@ class _ScenarioChunkTask:
     queue_weeks: Optional[np.ndarray]
     d0_scale: Optional[np.ndarray]
     wafer_rate_scale: Optional[np.ndarray]
+    tail_level: float
+    curve_points: int
     shared: Optional[PortfolioShare] = None
+
+
+#: One cell's ``(summaries, curves)`` maps, keyed by metric.
+_CellSummaries = Tuple[
+    Dict[str, MetricSummary], Dict[str, ExceedanceCurve]
+]
 
 
 def _evaluate_scenario_chunk(
     task: _ScenarioChunkTask,
-) -> Dict[str, np.ndarray]:
-    """Evaluate one scenario subset (module-level for pickling).
+) -> List[_CellSummaries]:
+    """Evaluate and summarize one scenario subset (module-level for
+    pickling).
 
-    Returns ``metric -> (chunk_scenarios, n_designs, n_samples)``
-    cubes. Because the fused kernel processes scenarios independently,
-    stacking chunk outputs reproduces the unchunked cube bit-for-bit.
+    Returns one ``(summaries, curves)`` pair per ``(scenario, design)``
+    cell of the chunk, scenario-major. The chunk's
+    ``(chunk_scenarios, n_designs, n_samples)`` cubes are reduced here
+    and dropped, so a study never holds more than one chunk's cube per
+    worker. The fused kernel processes scenarios independently and
+    each cell is summarized on its own sample row, so the summaries
+    do not depend on the chunk layout.
     """
     invariants = (
         task.shared.materialize() if task.shared is not None else None
@@ -146,7 +134,12 @@ def _evaluate_scenario_chunk(
             chips = base if dm == 1.0 else base * dm
             per_chip[k] = cube.cost.total_usd[k] / chips
         metrics["cost_per_chip_usd"] = per_chip
-    return metrics
+    return summarize_cells(
+        metrics,
+        METRIC_TAILS,
+        tail_level=task.tail_level,
+        curve_points=task.curve_points,
+    )
 
 
 @dataclass(frozen=True)
@@ -298,9 +291,10 @@ def run_scenario_study(
         from :func:`~repro.montecarlo.stress.stress_scenarios`) or a
         sequence of :class:`~repro.engine.scenario.Scenario`.
     seed / executor / max_workers / chunk_scenarios:
-        Work is chunked over the scenario axis; chunks are pure, so the
-        cube is bit-for-bit identical across executors and chunk sizes
-        for a fixed seed.
+        Work is chunked over the scenario axis and each chunk is
+        summarized where it is evaluated; chunks are pure, so the
+        summaries are bit-for-bit identical across executors and chunk
+        sizes for a fixed seed.
     """
     scenario_set = compile_scenarios(scenarios)
     design_tuple = tuple(designs)
@@ -349,12 +343,14 @@ def run_scenario_study(
                     queue_weeks=draws.queue_weeks,
                     d0_scale=draws.d0_scale,
                     wafer_rate_scale=draws.wafer_rate_scale,
+                    tail_level=tail_level,
+                    curve_points=curve_points,
                     shared=shared,
                 )
             )
             start += size
         try:
-            chunks: List[Dict[str, np.ndarray]] = parallel_map(
+            chunks: List[List[_CellSummaries]] = parallel_map(
                 _evaluate_scenario_chunk,
                 tasks,
                 executor=executor,
@@ -363,34 +359,13 @@ def run_scenario_study(
         finally:
             if shared is not None:
                 SHARED_STORE.release(shared.handle)
-        cube: Dict[str, np.ndarray] = {
-            name: np.concatenate([chunk[name] for chunk in chunks], axis=0)
-            for name in chunks[0]
-        }
+        cells = itertools.chain.from_iterable(chunks)
         design_names = tuple(design.name for design in design_tuple)
         results: Dict[str, Dict[str, StudyResult]] = {}
-        for k, scenario in enumerate(scenario_set.names):
+        for scenario in scenario_set.names:
             per_design: Dict[str, StudyResult] = {}
-            for i, design in enumerate(design_tuple):
-                samples = {
-                    name: values[k, i].ravel()
-                    for name, values in cube.items()
-                }
-                summaries = {
-                    name: MetricSummary.from_samples(
-                        name,
-                        values,
-                        tail=METRIC_TAILS.get(name, "upper"),
-                        tail_level=tail_level,
-                    )
-                    for name, values in samples.items()
-                }
-                curves = {
-                    name: ExceedanceCurve.from_samples(
-                        name, values, n_points=curve_points
-                    )
-                    for name, values in samples.items()
-                }
+            for design in design_tuple:
+                summaries, curves = next(cells)
                 per_design[design.name] = StudyResult(
                     design=design.name,
                     processes=design.processes,

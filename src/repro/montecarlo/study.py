@@ -38,12 +38,7 @@ from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
 from .disruption import DisruptionModel
-from .results import (
-    DEFAULT_TAIL_LEVEL,
-    ExceedanceCurve,
-    MetricSummary,
-    StudyResult,
-)
+from .results import DEFAULT_TAIL_LEVEL, StudyResult, summarize_cells
 from .spec import SamplingSpec
 
 #: Samples evaluated per parallel work item.
@@ -129,7 +124,7 @@ def _check_capacity_source(
 
 
 def _summarize_samples(
-    design: ChipDesign,
+    designs: Sequence[ChipDesign],
     n_samples: int,
     seed: int,
     samples: Dict[str, np.ndarray],
@@ -137,38 +132,36 @@ def _summarize_samples(
     reference_weeks: Optional[float],
     tail_level: float,
     curve_points: int,
-) -> StudyResult:
-    """Reduce one design's metric samples to a :class:`StudyResult`."""
+) -> Dict[str, StudyResult]:
+    """Reduce ``metric -> (designs, samples)`` blocks to one
+    :class:`StudyResult` per design."""
     if window is not None:
+        ttm = samples["ttm_weeks"]
         reference = (
-            float(np.median(samples["ttm_weeks"]))
+            np.median(ttm, axis=-1, keepdims=True)
             if reference_weeks is None
             else float(reference_weeks)
         )
         samples["revenue_loss_fraction"] = triangle_loss_fractions(
-            samples["ttm_weeks"] - reference, window.window_weeks
+            ttm - reference, window.window_weeks
         )
-    summaries = {
-        name: MetricSummary.from_samples(
-            name,
-            values,
-            tail=METRIC_TAILS.get(name, "upper"),
-            tail_level=tail_level,
-        )
-        for name, values in samples.items()
-    }
-    curves = {
-        name: ExceedanceCurve.from_samples(name, values, n_points=curve_points)
-        for name, values in samples.items()
-    }
-    return StudyResult(
-        design=design.name,
-        processes=design.processes,
-        n_samples=n_samples,
-        seed=seed,
-        summaries=summaries,
-        curves=curves,
+    cells = summarize_cells(
+        samples,
+        METRIC_TAILS,
+        tail_level=tail_level,
+        curve_points=curve_points,
     )
+    return {
+        design.name: StudyResult(
+            design=design.name,
+            processes=design.processes,
+            n_samples=n_samples,
+            seed=seed,
+            summaries=summaries,
+            curves=curves,
+        )
+        for design, (summaries, curves) in zip(designs, cells)
+    }
 
 
 def run_study(
@@ -238,11 +231,11 @@ def run_study(
             seed=seed,
         )
         samples: Dict[str, np.ndarray] = {
-            name: np.concatenate([chunk[name] for chunk in chunks])
+            name: np.concatenate([chunk[name] for chunk in chunks])[None]
             for name in chunks[0]
         }
         return _summarize_samples(
-            design,
+            (design,),
             n_samples,
             seed,
             samples,
@@ -250,7 +243,7 @@ def run_study(
             reference_weeks,
             tail_level,
             curve_points,
-        )
+        )[design.name]
 
 
 @dataclass(frozen=True)
@@ -443,25 +436,27 @@ def compare_designs(
                 SHARED_STORE.release(shared_ttm.handle)
             if shared_cost is not None:
                 SHARED_STORE.release(shared_cost.handle)
-        results: Dict[str, StudyResult] = {}
-        for i, design in enumerate(design_tuple):
-            samples = {
-                name: np.concatenate(
-                    [np.asarray(chunk[name][i], dtype=float).ravel() for chunk in chunks]
-                )
-                for name in chunks[0]
-            }
-            results[design.name] = _summarize_samples(
-                design,
-                n_samples,
-                seed,
-                samples,
-                window,
-                reference_weeks,
-                tail_level,
-                curve_points,
+        n_designs = len(design_tuple)
+        samples = {
+            name: np.concatenate(
+                [
+                    np.asarray(chunk[name], dtype=float).reshape(n_designs, -1)
+                    for chunk in chunks
+                ],
+                axis=-1,
             )
-        return results
+            for name in chunks[0]
+        }
+        return _summarize_samples(
+            design_tuple,
+            n_samples,
+            seed,
+            samples,
+            window,
+            reference_weeks,
+            tail_level,
+            curve_points,
+        )
 
 
 __all__ = [

@@ -6,6 +6,8 @@ summaries. CVaR is pinned against a hand-computed tail mean, and the
 CLI-facing tables must carry every scenario row.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,30 @@ class TestStudyShape:
         with pytest.raises(InvalidParameterError):
             run_scenario_study(model, designs, spec, scenario_set,
                                N_SAMPLES, SEED)
+
+
+class TestBoundedMemory:
+    def test_peak_flat_in_scenario_count(self, model, cost_model, designs,
+                                         spec):
+        """Chunks are summarized where they are evaluated, so the
+        allocation peak is set by ``chunk_scenarios``, not by how many
+        scenarios the study covers."""
+        every = stress_scenarios("all")
+
+        def peak(n_scenarios):
+            tracemalloc.start()
+            try:
+                run_scenario_study(
+                    model, designs, spec, every.subset(range(n_scenarios)),
+                    4096, SEED, cost_model=cost_model, chunk_scenarios=2,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # warm the invariant caches outside the measurement
+        small, large = peak(4), peak(16)
+        assert large < 1.25 * small, (small, large)
 
 
 class TestCVaR:
