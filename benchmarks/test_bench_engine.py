@@ -27,7 +27,7 @@ from repro.engine.batch_split import batch_split
 from repro.engine.portfolio import portfolio_ttm
 from repro.engine.sobol_adapter import ttm_factor_batch_function
 from repro.market.conditions import MarketConditions
-from repro.multiprocess.optimizer import run_split_study
+from repro.multiprocess.split import reference_best_split
 from repro.sensitivity.sobol import sobol_indices
 from repro.sensitivity.ttm_factors import ttm_factor_function, ttm_factors
 
@@ -135,18 +135,11 @@ def test_bench_batch_split_tensor(benchmark, model, cost_model):
         SPLIT_GRID,
     )
     assert result.ttm_weeks.shape == (len(SPLIT_PAIRS), len(SPLIT_GRID))
-    oracle = run_split_study(
-        raven_multicore,
-        SPLIT_NODES,
-        model,
-        cost_model,
-        N_CHIPS,
-        split_grid=SPLIT_GRID,
-        engine="scalar",
-    )
     for index, key in enumerate(SPLIT_PAIRS):
         best = result.best_evaluation(index)
-        expected = oracle.pairs[key].best
+        expected = reference_best_split(
+            raven_multicore, *key, model, cost_model, N_CHIPS, SPLIT_GRID
+        )
         assert best.split == expected.split
         assert best.cas == pytest.approx(expected.cas, rel=1e-9)
         assert best.ttm_weeks == pytest.approx(expected.ttm_weeks, rel=1e-9)
@@ -226,15 +219,12 @@ def test_split_engine_speedup_smoke(model, cost_model):
     """The batched split study must beat the scalar loop comfortably."""
 
     def scalar_study():
-        return run_split_study(
-            raven_multicore,
-            SPLIT_NODES,
-            model,
-            cost_model,
-            N_CHIPS,
-            split_grid=SPLIT_GRID,
-            engine="scalar",
-        )
+        return [
+            reference_best_split(
+                raven_multicore, *key, model, cost_model, N_CHIPS, SPLIT_GRID
+            )
+            for key in SPLIT_PAIRS
+        ]
 
     def batched_study():
         return batch_split(

@@ -10,8 +10,8 @@ Workloads (the ISSUEs' acceptance targets):
   A11 @ 7 nm CAS: scalar ``chip_agility_score`` loop vs one
   ``cas_over_capacity`` call. Target: >= 5x.
 * ``fig14``     -- the full Sec. 7 multi-process study (every production
-  node pair x the 1% split grid): the scalar ``run_split_study`` loop
-  vs one vectorized ``batch_split`` tensor. Target: >= 20x.
+  node pair x the 1% split grid): the per-plan scalar
+  ``reference_best_split`` loop vs one vectorized ``batch_split`` tensor. Target: >= 20x.
 * ``portfolio`` -- a 64-design x 4096-sample Monte-Carlo portfolio
   (shared capacity/queue/demand draws): the per-design per-sample
   scalar loop vs one ``portfolio_ttm`` pass. Target: >= 50x. The
@@ -131,7 +131,7 @@ from repro.design.chip import ChipDesign
 from repro.design.die import Die
 from repro.market.conditions import MarketConditions
 from repro.montecarlo.stress import graded_stress_scenarios
-from repro.multiprocess.optimizer import run_split_study
+from repro.multiprocess.split import reference_best_split
 from repro.sensitivity.sobol import sobol_indices
 from repro.sensitivity.ttm_factors import ttm_factor_function, ttm_factors
 from repro.ttm.model import TTMModel
@@ -305,15 +305,18 @@ def bench_split_sweep(model: TTMModel) -> dict:
     ]
 
     def scalar_study():
-        return run_split_study(
-            raven_multicore,
-            processes,
-            model,
-            cost_model,
-            n_chips,
-            split_grid=grid,
-            engine="scalar",
-        )
+        return {
+            (primary, secondary): reference_best_split(
+                raven_multicore,
+                primary,
+                secondary,
+                model,
+                cost_model,
+                n_chips,
+                grid,
+            )
+            for primary, secondary in pairs
+        }
 
     def batched_study():
         return batch_split(
@@ -324,7 +327,7 @@ def bench_split_sweep(model: TTMModel) -> dict:
     batched = batched_study()
     error = 0.0
     for index, key in enumerate(pairs):
-        oracle = scalar.pairs[key].best
+        oracle = scalar[key]
         best = batched.best_evaluation(index)
         for attr in ("split", "ttm_weeks", "cost_usd", "cas"):
             expected = getattr(oracle, attr)

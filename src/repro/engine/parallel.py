@@ -168,6 +168,23 @@ class _SpanCapturingCall:
         return result, local.spans()
 
 
+def seed_sequence(seed: Any) -> Any:
+    """``numpy.random.SeedSequence(seed)`` for a study seed.
+
+    A seed NumPy refuses (negative, fractional, not a number) is an
+    :class:`~repro.errors.InvalidParameterError` naming the value, not a
+    bare NumPy ``ValueError``/``TypeError``.
+    """
+    import numpy as np
+
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"seed must be a non-negative integer, got {seed!r}"
+        ) from None
+
+
 def parallel_map(
     function: Callable[..., R],
     items: Iterable[T],
@@ -207,9 +224,7 @@ def parallel_map(
         )
     points: List[Any] = list(items)
     if seed is not None:
-        import numpy as np
-
-        children = np.random.SeedSequence(seed).spawn(len(points))
+        children = seed_sequence(seed).spawn(len(points))
         points = list(zip(points, children))
         function = _SeededCall(function)
     tracer = _trace.current_tracer()
@@ -314,4 +329,4 @@ def _warn_fallback(reason: str) -> None:
     )
 
 
-__all__ = ["EXECUTORS", "parallel_map"]
+__all__ = ["EXECUTORS", "parallel_map", "seed_sequence"]

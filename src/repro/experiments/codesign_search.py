@@ -24,7 +24,6 @@ from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.library.ariane import ariane_manycore
 from ..engine.portfolio import portfolio_cost, portfolio_ttm
-from ..errors import InvalidParameterError
 from ..multiprocess.optimizer import PairResult, run_split_study
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
@@ -111,6 +110,16 @@ class CodesignResult:
         return text
 
 
+def _key(configuration: Configuration) -> Tuple[str, int, int, int]:
+    """(process, cores, icache_kb, dcache_kb) of one search point."""
+    return (
+        str(configuration["process"]),
+        int(configuration["cores"]),  # type: ignore[arg-type]
+        int(configuration["icache_kb"]),  # type: ignore[arg-type]
+        int(configuration["dcache_kb"]),  # type: ignore[arg-type]
+    )
+
+
 def run(
     model: Optional[TTMModel] = None,
     cost_model: Optional[CostModel] = None,
@@ -124,15 +133,12 @@ def run(
     split_processes: Optional[Sequence[str]] = None,
     split_grid: Optional[Sequence[float]] = None,
     refine_split: bool = False,
-    engine: str = "portfolio",
 ) -> CodesignResult:
     """Search the joint space for the best throughput-per-week design.
 
-    ``engine="portfolio"`` (default) scores every candidate's TTM and
-    cost up front in one fused (candidates x 1) portfolio pass — the
-    grid search then selects over precomputed points with no scalar
-    model call per configuration. ``engine="scalar"`` keeps the lazy
-    per-configuration scalar evaluation as the equivalence oracle.
+    Every candidate's TTM and cost is scored up front in one fused
+    (candidates x 1) portfolio pass; the grid search then selects over
+    the precomputed points with no scalar model call per configuration.
 
     ``split_processes`` (optional) adds the production stage: the
     winning architecture is re-ported across those nodes and the batched
@@ -140,15 +146,9 @@ def run(
     ``result.production`` (``refine_split=True`` sharpens its split to
     ~0.1% resolution).
     """
-    if engine not in ("portfolio", "scalar"):
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; use 'portfolio' or 'scalar'"
-        )
     ttm_model = (model or TTMModel.nominal()).at_capacity(capacity_share)
     costs = cost_model or CostModel.nominal()
     perf = ipc_model or IPCModel()
-
-    cache: Dict[Tuple[str, int, int, int], CodesignPoint] = {}
 
     space = SearchSpace(
         {
@@ -159,67 +159,35 @@ def run(
         }
     )
 
-    if engine == "portfolio":
-        candidate_keys = [
-            (
-                str(point["process"]),
-                int(point["cores"]),  # type: ignore[arg-type]
-                int(point["icache_kb"]),  # type: ignore[arg-type]
-                int(point["dcache_kb"]),  # type: ignore[arg-type]
-            )
-            for point in space.points()
-        ]
-        unique_keys = list(dict.fromkeys(candidate_keys))
-        candidates = [
-            ariane_manycore(
-                process, cores=n_cores, icache_kb=icache_kb, dcache_kb=dcache_kb
-            )
-            for process, n_cores, icache_kb, dcache_kb in unique_keys
-        ]
-        ttm_weeks = portfolio_ttm(
-            ttm_model, candidates, n_chips
-        ).total_weeks[:, 0]
-        cost_usd = portfolio_cost(
-            costs, candidates, n_chips, engineers=ttm_model.engineers
-        ).total_usd[:, 0]
-        for row, key in enumerate(unique_keys):
-            process, n_cores, icache_kb, dcache_kb = key
-            ipc = perf.ipc(icache_kb, dcache_kb)
-            cache[key] = CodesignPoint(
-                process=process,
-                cores=n_cores,
-                icache_kb=icache_kb,
-                dcache_kb=dcache_kb,
-                ipc=ipc,
-                throughput=n_cores * ipc,
-                ttm_weeks=float(ttm_weeks[row]),
-                cost_usd=float(cost_usd[row]),
-            )
+    keys = list(dict.fromkeys(_key(point) for point in space.points()))
+    candidates = [
+        ariane_manycore(
+            process, cores=n_cores, icache_kb=icache_kb, dcache_kb=dcache_kb
+        )
+        for process, n_cores, icache_kb, dcache_kb in keys
+    ]
+    ttm_weeks = portfolio_ttm(ttm_model, candidates, n_chips).total_weeks[:, 0]
+    cost_usd = portfolio_cost(
+        costs, candidates, n_chips, engineers=ttm_model.engineers
+    ).total_usd[:, 0]
+    points: Dict[Tuple[str, int, int, int], CodesignPoint] = {}
+    for row, key in enumerate(keys):
+        process, n_cores, icache_kb, dcache_kb = key
+        ipc = perf.ipc(icache_kb, dcache_kb)
+        points[key] = CodesignPoint(
+            process=process,
+            cores=n_cores,
+            icache_kb=icache_kb,
+            dcache_kb=dcache_kb,
+            ipc=ipc,
+            throughput=n_cores * ipc,
+            ttm_weeks=float(ttm_weeks[row]),
+            cost_usd=float(cost_usd[row]),
+        )
 
     def evaluate(configuration: Configuration) -> CodesignPoint:
-        key = (
-            str(configuration["process"]),
-            int(configuration["cores"]),  # type: ignore[arg-type]
-            int(configuration["icache_kb"]),  # type: ignore[arg-type]
-            int(configuration["dcache_kb"]),  # type: ignore[arg-type]
-        )
-        if key not in cache:
-            process, n_cores, icache_kb, dcache_kb = key
-            design = ariane_manycore(
-                process, cores=n_cores, icache_kb=icache_kb, dcache_kb=dcache_kb
-            )
-            ipc = perf.ipc(icache_kb, dcache_kb)
-            cache[key] = CodesignPoint(
-                process=process,
-                cores=n_cores,
-                icache_kb=icache_kb,
-                dcache_kb=dcache_kb,
-                ipc=ipc,
-                throughput=n_cores * ipc,
-                ttm_weeks=ttm_model.total_weeks(design, n_chips),
-                cost_usd=costs.total_usd(design, n_chips),
-            )
-        return cache[key]
+        return points[_key(configuration)]
+
     outcome = grid_search(
         space,
         objective=lambda cfg: evaluate(cfg).throughput_per_week,

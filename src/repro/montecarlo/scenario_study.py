@@ -35,7 +35,7 @@ import numpy as np
 from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
-from ..engine.parallel import parallel_map
+from ..engine.parallel import parallel_map, seed_sequence
 from ..engine.portfolio import compile_portfolio
 from ..engine.scenario import (
     Scenario,
@@ -304,7 +304,7 @@ def run_scenario_study(
             "capacity sampling cannot compose with per-node scenario "
             "capacity transforms in a single kernel argument"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     draws = spec.sample(n_samples, rng)
     with span(
         "mc.run_scenario_study",

@@ -18,7 +18,7 @@ nodes — the methodology's overhead — plus per-line manufacturing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from ..agility.derivative import DEFAULT_RELATIVE_STEP, ttm_rate_sensitivity
 from ..cost.model import CostModel
@@ -28,6 +28,14 @@ from ..ttm.model import TTMModel
 
 #: A factory mapping a process-node name to the ported design.
 DesignFactory = Callable[[str], ChipDesign]
+
+#: Default split grid: 1% .. 100% of chips on the primary node.
+DEFAULT_SPLIT_GRID: Tuple[float, ...] = tuple(s / 100.0 for s in range(1, 101))
+
+#: Points in each pair's second-stage grid around its coarse optimum.
+#: 21 points across one coarse-grid spacing turn a 1% grid into ~0.1%
+#: split resolution.
+DEFAULT_REFINE_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -196,6 +204,44 @@ def evaluate_split(
         cost_usd=split_cost_usd(plan, cost_model, n_chips),
         cas=cas,
         line_weeks=lines,
+    )
+
+
+def _ranking_key(evaluation: SplitEvaluation) -> Tuple[float, float]:
+    """The Fig. 14 objective: max CAS, ties broken toward lower TTM."""
+    return (evaluation.cas, -evaluation.ttm_weeks)
+
+
+def reference_best_split(
+    design_factory: DesignFactory,
+    primary: str,
+    secondary: str,
+    model: TTMModel,
+    cost_model: CostModel,
+    n_chips: float,
+    split_grid: Sequence[float] = DEFAULT_SPLIT_GRID,
+) -> SplitEvaluation:
+    """The CAS-optimal split of one pair by evaluating every plan.
+
+    The scalar reference for the vectorized split study
+    (:func:`repro.multiprocess.optimizer.run_split_study`): one
+    :func:`evaluate_split` per grid point, keeping the max ``(cas,
+    -ttm)``. The diagonal (``primary == secondary``) and ``split >= 1``
+    evaluate the single-process plan.
+    """
+    if primary == secondary:
+        splits: Sequence[float] = (1.0,)
+    else:
+        splits = split_grid
+    plans = [
+        single_process_plan(design_factory, primary)
+        if split >= 1.0
+        else make_plan(design_factory, primary, secondary, split)
+        for split in splits
+    ]
+    return max(
+        (evaluate_split(plan, model, cost_model, n_chips) for plan in plans),
+        key=_ranking_key,
     )
 
 

@@ -102,9 +102,13 @@ class BadRequestError(Exception):
 
 
 def canonical_json(value: Any) -> bytes:
-    """The canonical wire encoding: sorted keys, no whitespace, UTF-8."""
+    """The canonical wire encoding: sorted keys, no whitespace, UTF-8.
+
+    Strict JSON: a NaN or infinity raises ``ValueError`` instead of
+    emitting the non-standard ``NaN``/``Infinity`` tokens.
+    """
     return json.dumps(
-        value, sort_keys=True, separators=(",", ":")
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
 
 
@@ -392,7 +396,12 @@ class ServeState:
         invariant LRU and the fused batcher's design dedup both see one
         design, not N copies.
         """
-        key = canonical_json(spec)
+        try:
+            key = canonical_json(spec)
+        except ValueError:
+            raise BadRequestError(
+                "design specs must not contain NaN or Infinity"
+            ) from None
         design = self._designs.get(key)
         if design is not None:
             return design

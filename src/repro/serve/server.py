@@ -508,11 +508,21 @@ class EvalServer(HttpFrontEnd):
                 error_body("internal", f"{type(error).__name__}: {error}"),
                 {},
             )
-        return (
-            200,
-            canonical_json(result),
-            {"X-Batch-Size": str(batch_size)},
-        )
+        try:
+            body = canonical_json(result)
+        except ValueError:
+            # An input at the edge of the float range (e.g. n_chips=1e300)
+            # can overflow a metric; JSON has no Infinity/NaN to send.
+            return (
+                400,
+                error_body(
+                    "non_finite_result",
+                    "the result overflows to a non-finite number; "
+                    "reduce the request's magnitudes",
+                ),
+                {},
+            )
+        return 200, body, {"X-Batch-Size": str(batch_size)}
 
 def _outcome(status: int) -> str:
     """Log-record outcome classification for one response status."""

@@ -141,6 +141,13 @@ class TestSeededParallelMap:
     def test_unseeded_calls_keep_single_argument_signature(self):
         assert parallel_map(square, [2, 3]) == [4, 9]
 
+    @pytest.mark.parametrize("seed", (-1, 1.5, "7"))
+    def test_seed_numpy_refuses_is_an_invalid_parameter(self, seed):
+        # Regression: a negative seed surfaced as NumPy's bare
+        # "expected non-negative integer" ValueError.
+        with pytest.raises(InvalidParameterError, match="seed"):
+            parallel_map(draw_total, [0.0], seed=seed)
+
 
 class Moody:
     """Instances pickle or refuse to, by content (not by type)."""

@@ -1,8 +1,12 @@
 """Tests for the codesign search's optional production-split stage."""
 
+import itertools
+
 import pytest
 
+from repro.design.library.ariane import ariane_manycore
 from repro.experiments import codesign_search
+from repro.perf.ipc import IPCModel
 
 #: A tiny joint space keeps the grid search fast; the production stage
 #: is the thing under test.
@@ -67,27 +71,39 @@ class TestProductionStage:
 
 class TestEngines:
     def test_portfolio_matches_scalar(self, model, cost_model):
-        fused = codesign_search.run(
-            model, cost_model, **SMALL, engine="portfolio"
-        )
-        oracle = codesign_search.run(
-            model, cost_model, **SMALL, engine="scalar"
-        )
-        assert fused.best.process == oracle.best.process
-        assert fused.best.cores == oracle.best.cores
-        assert fused.best.icache_kb == oracle.best.icache_kb
-        assert fused.best.dcache_kb == oracle.best.dcache_kb
-        assert fused.best.ttm_weeks == pytest.approx(
-            oracle.best.ttm_weeks, rel=1e-9
-        )
-        assert fused.best.cost_usd == pytest.approx(
-            oracle.best.cost_usd, rel=1e-9
-        )
-        assert fused.feasible == oracle.feasible
-        assert fused.evaluated == oracle.evaluated
+        # The scalar oracle: score every configuration with the scalar
+        # model, then keep the best feasible throughput per week.
+        fused = codesign_search.run(model, cost_model, **SMALL)
+        ttm_model = model.at_capacity(codesign_search.DEFAULT_CAPACITY_SHARE)
+        n_chips = codesign_search.DEFAULT_N_CHIPS
+        ipc_model = IPCModel()
+        scored = []
+        for key in itertools.product(
+            SMALL["processes"], SMALL["cores"], SMALL["caches_kb"],
+            SMALL["caches_kb"],
+        ):
+            process, cores, icache_kb, dcache_kb = key
+            design = ariane_manycore(
+                process, cores=cores, icache_kb=icache_kb, dcache_kb=dcache_kb
+            )
+            ttm = ttm_model.total_weeks(design, n_chips)
+            cost = cost_model.total_usd(design, n_chips)
+            objective = cores * ipc_model.ipc(icache_kb, dcache_kb) / ttm
+            scored.append((key, ttm, cost, objective))
+        feasible = [
+            point
+            for point in scored
+            if point[2] <= codesign_search.DEFAULT_BUDGET_USD
+        ]
+        key, ttm, cost, _ = max(feasible, key=lambda point: point[3])
+        best = fused.best
+        assert (best.process, best.cores, best.icache_kb, best.dcache_kb) == key
+        assert best.ttm_weeks == pytest.approx(ttm, rel=1e-9)
+        assert best.cost_usd == pytest.approx(cost, rel=1e-9)
+        assert fused.feasible == len(feasible)
+        assert fused.evaluated == len(scored)
 
     def test_unknown_engine_rejected(self, model, cost_model):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="engine"):
-            codesign_search.run(model, cost_model, **SMALL, engine="warp")
+        # The search has one path; ``engine`` is not a parameter.
+        with pytest.raises(TypeError, match="engine"):
+            codesign_search.run(model, cost_model, **SMALL, engine="scalar")

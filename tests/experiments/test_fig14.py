@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.design.library.raven import raven_multicore
 from repro.experiments import fig14_multiprocess
+from repro.multiprocess.split import reference_best_split
 
 # A reduced grid keeps the study fast while covering the node spectrum.
 PROCESSES = ("180nm", "65nm", "40nm", "28nm", "14nm", "7nm")
@@ -75,15 +77,16 @@ class TestEngineOptions:
         batched = fig14_multiprocess.run(
             model, cost_model, processes=self.PROCESSES, split_grid=self.GRID
         )
-        scalar = fig14_multiprocess.run(
-            model,
-            cost_model,
-            processes=self.PROCESSES,
-            split_grid=self.GRID,
-            engine="scalar",
-        )
-        for key, result in batched.study.pairs.items():
-            oracle = scalar.study.pairs[key].best
+        for (primary, secondary), result in batched.study.pairs.items():
+            oracle = reference_best_split(
+                raven_multicore,
+                primary,
+                secondary,
+                model,
+                cost_model,
+                batched.n_chips,
+                self.GRID,
+            )
             assert result.best.split == oracle.split
             assert result.best.ttm_weeks == pytest.approx(
                 oracle.ttm_weeks, rel=1e-9

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -49,3 +51,16 @@ class TestMcScenariosCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "unknown stress scenario" in captured.err
+
+
+@pytest.mark.parametrize("selector", ((), ("--scenarios", "all")))
+def test_negative_seed_is_one_error_line(capsys, selector):
+    # Regression: ``--seed -1`` ended in a NumPy ValueError traceback.
+    code = main(
+        ["mc", "--design", "a11", "--samples", "16", "--seed", "-1", *selector]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip().splitlines() == [
+        "seed must be a non-negative integer, got -1"
+    ]

@@ -227,25 +227,50 @@ class TestStudyOptions:
             assert result.n_samples == 300
 
 
+class TestSeedValidation:
+    """A seed ``SeedSequence`` refuses is a named InvalidParameterError."""
+
+    def test_run_study_and_compare_designs(self, model):
+        spec = default_supply_spec(n_chips=5e6)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            run_study(model, a11("7nm"), spec, 16, seed=-1)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            compare_designs(model, (a11("7nm"), zen2()), spec, 16, seed=-1)
+
+    def test_scenario_study(self, model):
+        from repro.montecarlo.scenario_study import run_scenario_study
+        from repro.montecarlo.stress import stress_scenarios
+
+        with pytest.raises(InvalidParameterError, match="seed"):
+            run_scenario_study(
+                model,
+                (a11("7nm"),),
+                default_supply_spec(n_chips=5e6),
+                stress_scenarios(("baseline",)),
+                n_samples=16,
+                seed=-1,
+            )
+
+
 class TestCompareEngines:
-    """The fused portfolio path is bit-for-bit the per-design loop."""
+    """Row ``i`` of the fused comparison is the one-design study of
+    design ``i``, bit for bit."""
 
     @pytest.fixture(scope="class")
     def per_engine(self, model, cost_model):
         spec = default_supply_spec(n_chips=5e6)
         designs = (a11("7nm"), zen2(), a11("28nm"))
+        kwargs = dict(
+            n_samples=240, seed=9, cost_model=cost_model, chunk_samples=64
+        )
         return {
-            engine: compare_designs(
-                model,
-                designs,
-                spec,
-                n_samples=240,
-                seed=9,
-                cost_model=cost_model,
-                chunk_samples=64,
-                engine=engine,
-            )
-            for engine in ("portfolio", "per-design")
+            "portfolio": compare_designs(model, designs, spec, **kwargs),
+            "per-design": {
+                design.name: compare_designs(
+                    model, (design,), spec, **kwargs
+                )[design.name]
+                for design in designs
+            },
         }
 
     def test_summaries_identical(self, per_engine):
@@ -263,6 +288,7 @@ class TestCompareEngines:
                 assert got.var == expected.var
                 assert got.cvar == expected.cvar
                 assert got.percentiles == expected.percentiles
+            assert fused[name] == oracle[name]
 
     def test_curves_identical(self, per_engine):
         fused = per_engine["portfolio"]
@@ -281,33 +307,53 @@ class TestCompareEngines:
 
         spec = supply_spec(n_chips=5e6)
         designs = (a11("7nm"), zen2())
-        results = {
-            engine: compare_designs(
-                model,
-                designs,
-                spec,
-                n_samples=160,
-                seed=21,
-                disruptions=disruption_model(),
-                chunk_samples=48,
-                engine=engine,
-            )
-            for engine in ("portfolio", "per-design")
-        }
-        for name in results["per-design"]:
-            expected = results["per-design"][name]["ttm_weeks"]
-            got = results["portfolio"][name]["ttm_weeks"]
-            assert got.mean == expected.mean
-            assert got.maximum == expected.maximum
+        kwargs = dict(
+            n_samples=160,
+            seed=21,
+            disruptions=disruption_model(),
+            chunk_samples=48,
+        )
+        fused = compare_designs(model, designs, spec, **kwargs)
+        for design in designs:
+            alone = compare_designs(model, (design,), spec, **kwargs)
+            assert fused[design.name] == alone[design.name]
+
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_run_study_is_the_one_design_comparison(
+        self, model, cost_model, executor
+    ):
+        from repro.experiments.mc_disruption import (
+            disruption_model,
+            supply_spec,
+        )
+
+        spec = supply_spec(n_chips=5e6)
+        kwargs = dict(
+            n_samples=200,
+            seed=13,
+            cost_model=cost_model,
+            disruptions=disruption_model(),
+            window=MarketWindow(
+                window_weeks=104.0, peak_weekly_revenue_usd=1e7
+            ),
+            executor=executor,
+            max_workers=2,
+            chunk_samples=64,
+        )
+        for design in (a11("7nm"), zen2()):
+            study = run_study(model, design, spec, **kwargs)
+            fused = compare_designs(model, (design,), spec, **kwargs)
+            assert study == fused[design.name]
 
     def test_unknown_engine_rejected(self, model):
+        # The comparison has one path; ``engine`` is not a parameter.
         spec = default_supply_spec(n_chips=5e6)
-        with pytest.raises(InvalidParameterError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             compare_designs(
                 model,
                 (a11("7nm"),),
                 spec,
                 n_samples=16,
                 seed=1,
-                engine="warp",
+                engine="per-design",
             )

@@ -3,10 +3,14 @@
 Each of these inputs used to get past the parser: a negative seed failed
 later inside ``SeedSequence`` (a 500), the string ``"false"`` was a true
 flag, and ``Infinity``/``NaN`` reached the engine. All of them are client
-mistakes and must be 400s raised at parse time.
+mistakes and must be 400s raised at parse time. A finite input whose
+result overflows (``n_chips: 1e300``) is a 400 too, for that request only:
+JSON has no ``Infinity`` to answer with.
 """
 
+import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -106,3 +110,49 @@ def test_negative_seed_is_400_on_the_wire(client):
     response = client.post("/mc", {"design": "a11", "seed": -1})
     assert response.status == 400
     assert "seed" in response.json()["error"]["message"]
+
+
+def _strict_json(body):
+    """``json.loads`` that refuses the non-standard NaN/Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(body, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "path,body",
+    [
+        ("/evaluate", {"design": "a11", "n_chips": 1e300}),
+        ("/splits", {"pairs": [["28nm", "40nm"]], "n_chips": 1e300}),
+    ],
+    ids=["evaluate", "splits"],
+)
+def test_overflowing_result_is_a_structured_400(client, path, body):
+    # Regression: these answered 200 with a bare ``Infinity`` in the body.
+    response = client.post(path, body)
+    assert response.status == 400
+    assert _strict_json(response.body)["error"]["code"] == "non_finite_result"
+
+
+def test_overflowing_request_leaves_its_batch_mates_untouched(serve_factory):
+    server = serve_factory.server(batch_window_ms=200.0, max_batch=32)
+    client = serve_factory.client(server)
+    good = {"design": "a11", "n_chips": 1e7}
+    bad = {"design": "a11", "n_chips": 1e300}
+    solo = client.post("/evaluate", good)
+    assert solo.status == 200
+    bodies = [good, bad, good, bad]
+    with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
+        responses = list(
+            pool.map(lambda body: client.post("/evaluate", body), bodies)
+        )
+    for body, response in zip(bodies, responses):
+        if body is good:
+            assert response.status == 200
+            assert response.batch_size > 1
+            assert response.body == solo.body
+        else:
+            assert response.status == 400
+            assert response.error_code == "non_finite_result"
